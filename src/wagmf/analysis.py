@@ -19,6 +19,7 @@ from .errors import (
     UnboundedSet,
 )
 from .problems import LossOracle, RoundRng
+from .schedules import MomentumSchedule, beta1_at
 
 
 @dataclass
@@ -123,10 +124,11 @@ def regret(
 def reconstruct_momentum(trace: RunTrace, beta1: float, lam: float) -> np.ndarray:
     """Momentum vectors m_t implied by the recorded gradients and the schedule
     beta1_t = beta1 * lam**(t-1), starting from m_0 = 0."""
+    mom = MomentumSchedule(beta1, lam)
     m = np.zeros(trace.dim)
     out = np.empty_like(trace.g)
     for i, t in enumerate(trace.t):
-        b1t = beta1 * lam ** (int(t) - 1)
+        b1t = beta1_at(mom, int(t))
         m = b1t * m + (1.0 - b1t) * trace.g[i]
         out[i] = m
     return out

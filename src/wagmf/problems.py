@@ -34,7 +34,8 @@ class RoundRng:
 
     ``uniform(t)`` is the t-th value of a fixed Philox stream keyed by the
     seed, served from a lazily grown cache, so it is a pure function of
-    (seed, t).  ``child(k)`` derives an independent generator keyed by
+    (seed, t).  ``uniforms(T)`` returns the first T values of the same cache
+    at once.  ``child(k)`` derives an independent generator keyed by
     (seed, k) for bulk draws such as epoch permutations.
     """
 
@@ -45,15 +46,22 @@ class RoundRng:
         self.seed = seed
         self._uniforms = np.empty(0)
 
+    def uniforms(self, T: int) -> np.ndarray:
+        """uniform(1), ..., uniform(T) as one (shared, read-only) array."""
+        if T > self._uniforms.size:
+            n = 1 << 16
+            while n < T:
+                n <<= 1
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([self.seed, 0])))
+            self._uniforms = gen.random(n)
+            self._uniforms.flags.writeable = False
+        return self._uniforms[:T]
+
     def uniform(self, t: int) -> float:
         if t < 1:
             raise ValueError(f"round index must be >= 1, got {t}")
         if t > self._uniforms.size:
-            n = 1 << 16
-            while n < t:
-                n <<= 1
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([self.seed, 0])))
-            self._uniforms = gen.random(n)
+            self.uniforms(t)
         return self._uniforms[t - 1]
 
     def child(self, k: int) -> np.random.Generator:
@@ -70,6 +78,10 @@ class LossOracle:
     linear          round-t loss is g_t . x with g_t independent of x
     time_invariant  the same deterministic loss every round
     known_optimum   fixed comparator x* when one is known, else None
+
+    Linear oracles also provide ``gradients(T, rng)``: the whole stream
+    g_1, ..., g_T as a (T, dim) array, row t-1 equal to the gradient
+    ``evaluate(t, x, rng)`` returns at any x.
     """
 
     dim: int = 0
@@ -79,6 +91,9 @@ class LossOracle:
     known_optimum: np.ndarray | None = None
 
     def evaluate(self, t: int, x: np.ndarray, rng: RoundRng | None = None):
+        raise NotImplementedError
+
+    def gradients(self, T: int, rng: RoundRng | None = None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -103,6 +118,9 @@ class ReddiStochastic(LossOracle):
         g = self._g_hi if rng.uniform(t) < 0.01 else self._g_lo
         return g[0] * x[0], g
 
+    def gradients(self, T, rng):
+        return np.where((rng.uniforms(T) < 0.01)[:, None], self._g_hi, self._g_lo)
+
 
 class ReddiOnline(LossOracle):
     """Deterministic variant: slope 1010 when t % 101 == 1, else -10.
@@ -122,6 +140,10 @@ class ReddiOnline(LossOracle):
     def evaluate(self, t, x, rng=None):
         g = self._g_hi if t % 101 == 1 else self._g_lo
         return g[0] * x[0], g
+
+    def gradients(self, T, rng=None):
+        t = np.arange(1, T + 1)
+        return np.where((t % 101 == 1)[:, None], self._g_hi, self._g_lo)
 
 
 class Quadratic(LossOracle):

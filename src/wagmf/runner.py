@@ -33,6 +33,8 @@ from .problems import (
     gaussian_blobs,
     load_dataset,
 )
+from .schedules import gamma
+from .steps import run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
 _MAX_TRACE_ROWS = 100_000
@@ -157,31 +159,44 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
     Returns (trace, x_after): the full in-memory trace plus the point held
     after the final update (the trace's x column stops at x_T, the iterate
     the last loss was charged at).
+
+    Linear oracles take the array path: their gradient stream is drawn once
+    and the engine runs over it in array form (``steps.run_stream``), with
+    the same trace, bit for bit, as the per-round loop.  Configs with
+    ``debug_checks`` keep the per-round loop, where the checks run.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     oracle = setup.oracle
     rng = RoundRng(seed)
-    state = presets_mod.init_state(preset, initial_point(setup, seed))
-    d = state.x.shape[0]
-    xs = np.empty((T, d))
-    gs = np.empty((T, d))
-    Vs = np.empty((T, d))
-    losses = np.empty(T)
-    alphas = np.empty(T)
     fset = setup.feasible
     cfg = preset.config
-    step_fn = presets_mod.STEP_FN[cfg.engine]
-    evaluate = oracle.evaluate
-    for t in range(1, T + 1):
-        i = t - 1
-        loss, g = evaluate(t, state.x, rng)
-        xs[i] = state.x
-        gs[i] = g
-        losses[i] = loss
-        step_fn(state, g, cfg, fset)
-        Vs[i] = state.last_V
-        alphas[i] = state.last_alpha
+    x1 = initial_point(setup, seed)
+    if oracle.linear and not cfg.debug_checks:
+        gs = oracle.gradients(T, rng)
+        path, Vs, alphas = run_stream(x1, gs, cfg, fset)
+        xs, x_after = path[:T], path[T]
+        losses = (gs * xs).sum(axis=1)
+    else:
+        state = presets_mod.init_state(preset, x1)
+        d = state.x.shape[0]
+        xs = np.empty((T, d))
+        gs = np.empty((T, d))
+        Vs = np.empty((T, d))
+        losses = np.empty(T)
+        alphas = np.empty(T)
+        step_fn = presets_mod.STEP_FN[cfg.engine]
+        evaluate = oracle.evaluate
+        for t in range(1, T + 1):
+            i = t - 1
+            loss, g = evaluate(t, state.x, rng)
+            xs[i] = state.x
+            gs[i] = g
+            losses[i] = loss
+            step_fn(state, g, cfg, fset)
+            Vs[i] = state.last_V
+            alphas[i] = state.last_alpha
+        x_after = state.x
     trace = RunTrace(
         np.arange(1, T + 1),
         xs,
@@ -193,7 +208,7 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
         problem=setup.name,
         seed=seed,
     )
-    return trace, state.x.copy()
+    return trace, x_after.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +359,11 @@ def validate_config(cfg: ExperimentConfig) -> ProblemSetup:
     setup = build_problem(cfg.problem)
     for entry in cfg.optimizers:
         try:
-            presets_mod.make_preset(entry["name"], entry["alphas"][0], cfg.overrides)
-        except (UnknownPreset, InvalidOverride, ValueError) as e:
+            opt = presets_mod.make_preset(entry["name"], entry["alphas"][0], cfg.overrides).config
+            if opt.engine == "wagmf_sum":
+                # only growing (exponential) weights overflow: check the last round's
+                gamma(opt.weight, cfg.T)
+        except (UnknownPreset, InvalidOverride, ValueError, OverflowError) as e:
             raise ConfigError(f"optimizer {entry['name']!r}: {e}") from None
     if cfg.bound_eval and not setup.feasible.is_box:
         raise ConfigError("bound_eval needs a bounded feasible set")

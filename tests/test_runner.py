@@ -307,6 +307,21 @@ def test_validate_config_checks_presets_and_modes():
     assert setup.oracle.dim == 2
 
 
+def test_exponential_weight_overflow_fails_at_parse_time():
+    # (1/0.999)**t overflows float64 first at t = 709428
+    def raw(T):
+        return minimal_raw(
+            problem={"kind": "reddi_stochastic"},
+            optimizers=[{"name": "adam", "alphas": [0.1]}],
+            overrides={"engine": "wagmf_sum"},
+            T=T,
+        )
+
+    assert parse_config(raw(709_427)).T == 709_427
+    with pytest.raises(ConfigError, match="'adam'"):
+        parse_config(raw(709_428))
+
+
 def test_checkpoints_are_sorted_and_recorded():
     cfg = parse_config(minimal_raw(checkpoints=[40, 10]))
     assert cfg.checkpoints == [10, 40]
