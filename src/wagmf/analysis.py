@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DimMismatch,
@@ -19,7 +18,7 @@ from .errors import (
     UnboundedSet,
 )
 from .problems import LossOracle, RoundRng
-from .schedules import MomentumSchedule, beta1_at
+from .schedules import MomentumSchedule, beta1_at, per_round
 
 
 @dataclass
@@ -153,8 +152,7 @@ def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> Bound
     d2 = d_inf * d_inf
     term1 = d2 / (2.0 * trace.alpha[-1] * (1.0 - beta1)) * float(trace.V[-1].sum())
 
-    tt = trace.t.astype(np.float64)
-    b1t = beta1 * lam ** (tt - 1.0)
+    b1t = per_round(beta1_at, MomentumSchedule(beta1, lam), T)
     v_prev_sums = np.concatenate([[0.0], trace.V[:-1].sum(axis=1)])
     term2 = 0.5 * d2 * float(np.sum(b1t * v_prev_sums / ((1.0 - b1t) * trace.alpha)))
 
@@ -293,7 +291,9 @@ def students_t_test(a, b):
     """Two-sided two-sample Student's t-test with pooled variance.
 
     Returns (t, p) with p computed through the regularized incomplete beta
-    function.  Degenerate samples: identical variances of zero with equal
+    function.  scipy is imported here, at the one call that needs it, so
+    ``import wagmf`` and runs without significance testing never load it.
+    Degenerate samples: identical variances of zero with equal
     means give (0, 1); zero pooled variance with different means reports
     (+/-inf, 0).
     """
@@ -312,5 +312,7 @@ def students_t_test(a, b):
             return 0.0, 1.0
         return math.copysign(math.inf, ma - mb), 0.0
     t = (ma - mb) / math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
+    from scipy import special
+
     p = float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p

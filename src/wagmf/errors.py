@@ -67,3 +67,7 @@ class InsufficientSeeds(WagmfError):
 
 class ConfigError(WagmfError):
     """The experiment configuration is invalid."""
+
+
+class NonFinitePreconditioner(WagmfError):
+    """The preconditioner V_t overflowed to Inf or NaN during a run."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package, not in a run
 
 from .errors import (
     LabelOutOfRange,
@@ -319,26 +320,34 @@ def _load_csv(path) -> Dataset:
 # softmax regression
 
 
-def _softmax_core(W, b, X, y, reg):
-    """Loss and (dW, db) of the multinomial logistic loss on (X, y) plus
-    reg * sum(W**2); the mean is over the given rows."""
+def _softmax_core(W, b, X, y, reg, grad):
+    """Loss of the multinomial logistic loss on (X, y) plus reg * sum(W**2);
+    the mean is over the given rows.  The gradient is written into ``grad``,
+    flat as [dW rows..., db].
+
+    Logits are laid out (k, m), classes by rows, so the max and the sum over
+    classes run down contiguous rows.
+    """
+    k, d = W.shape
     m = X.shape[0]
-    Z = X @ W.T + b
-    Z -= Z.max(axis=1, keepdims=True)
-    expZ = np.exp(Z)
-    denom = expZ.sum(axis=1)
-    idx = np.arange(m)
+    Z = W @ X.T
+    Z += b[:, None]
+    Z -= Z.max(axis=0)
+    P = np.exp(Z)
+    denom = P.sum(axis=0)
+    cols = np.arange(m)
     # cross-entropy: mean of log(denom) - z_y  (after max shift)
-    loss = float(np.mean(np.log(denom) - Z[idx, y]))
-    P = expZ / denom[:, None]
-    P[idx, y] -= 1.0
+    loss = float(np.mean(np.log(denom) - Z[y, cols]))
+    P /= denom
+    P[y, cols] -= 1.0
     P /= m
-    dW = P.T @ X
-    db = P.sum(axis=0)
+    dW = grad[: k * d].reshape(k, d)
+    np.matmul(P, X, out=dW)
+    np.sum(P, axis=1, out=grad[k * d :])
     if reg:
         loss += reg * float(np.sum(W * W))
         dW += (2.0 * reg) * W
-    return loss, dW, db
+    return loss
 
 
 def softmax_objective(W: np.ndarray, b: np.ndarray, data: Dataset, reg: float):
@@ -356,8 +365,9 @@ def softmax_objective(W: np.ndarray, b: np.ndarray, data: Dataset, reg: float):
         )
     if not (np.isfinite(W).all() and np.isfinite(b).all()):
         raise NonFiniteInput("parameters contain NaN or Inf")
-    loss, dW, db = _softmax_core(W, b, data.features, data.labels, reg)
-    return loss, np.concatenate([dW.ravel(), db])
+    grad = np.empty(K * (data.d + 1))
+    loss = _softmax_core(W, b, data.features, data.labels, reg, grad)
+    return loss, grad
 
 
 def pack_params(W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -388,10 +398,11 @@ class SoftmaxObjective(LossOracle):
         X = self.data.features
         y = self.data.labels
         if idx is not None:
-            X = X[idx]
-            y = y[idx]
-        loss, dW, db = _softmax_core(W, b, X, y, self.reg)
-        return loss, np.concatenate([dW.ravel(), db])
+            X = X.take(idx, axis=0)
+            y = y.take(idx)
+        grad = np.empty(self.dim)
+        loss = _softmax_core(W, b, X, y, self.reg, grad)
+        return loss, grad
 
     def evaluate(self, t, x, rng=None):
         return self.loss_and_grad(x)

@@ -33,7 +33,7 @@ from .problems import (
     gaussian_blobs,
     load_dataset,
 )
-from .schedules import gamma
+from .schedules import exponential_weight_sum
 from .steps import run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
@@ -360,9 +360,9 @@ def validate_config(cfg: ExperimentConfig) -> ProblemSetup:
     for entry in cfg.optimizers:
         try:
             opt = presets_mod.make_preset(entry["name"], entry["alphas"][0], cfg.overrides).config
-            if opt.engine == "wagmf_sum":
-                # only growing (exponential) weights overflow: check the last round's
-                gamma(opt.weight, cfg.T)
+            if opt.engine == "wagmf_sum" and opt.weight.kind == "exponential":
+                # only growing weights overflow, and their running sum first
+                exponential_weight_sum(opt.weight, cfg.T)
         except (UnknownPreset, InvalidOverride, ValueError, OverflowError) as e:
             raise ConfigError(f"optimizer {entry['name']!r}: {e}") from None
     if cfg.bound_eval and not setup.feasible.is_box:
@@ -380,9 +380,14 @@ def _safe_name(name: str) -> str:
     return name.replace("(", "_").replace(")", "").replace(",", "_")
 
 
-def _execute_job(payload: dict) -> dict:
-    """Run one (optimizer, alpha, seed) cell; used directly and via the pool."""
-    setup = build_problem(payload["problem"])
+def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
+    """Run one (optimizer, alpha, seed) cell; used directly and via the pool.
+
+    Serial callers pass the problem they already built; pool workers build
+    their own from ``payload["problem"]``.
+    """
+    if setup is None:
+        setup = build_problem(payload["problem"])
     preset = presets_mod.make_preset(
         payload["name"], payload["alpha"], payload["overrides"]
     )
@@ -487,9 +492,11 @@ def run(config: ExperimentConfig) -> dict:
     """Execute the full experiment grid and return the summary tree.
 
     When ``config.out`` is set, per-run traces and ``summary.json`` are
-    written there.  Output is identical for any worker count.
+    written there.  Output is identical for any worker count.  Serial cells
+    share the problem that validation built (oracles hold no per-run state
+    beyond caches keyed by the run's seed); pool workers build their own.
     """
-    validate_config(config)
+    setup = validate_config(config)
     if config.out:
         Path(config.out).mkdir(parents=True, exist_ok=True)
 
@@ -516,7 +523,7 @@ def run(config: ExperimentConfig) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_job, payloads))
     else:
-        results = [_execute_job(p) for p in payloads]
+        results = [_execute_job(p, setup) for p in payloads]
 
     best = select_best(results)
     summary = {

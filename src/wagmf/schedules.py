@@ -1,6 +1,7 @@
 """Scalar schedules shared by every optimizer: step sizes alpha_t, momentum
 decay beta1_t, past-gradient weights gamma_t, the balance term b_t, and the
-learning-rate non-increase condition used by the convergence analysis.
+learning-rate non-increase condition used by the convergence analysis,
+plus ``per_round``, which tabulates any of them over rounds 1..T.
 """
 
 from __future__ import annotations
@@ -8,6 +9,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 
@@ -120,6 +124,32 @@ def gamma(w: WeightSchedule, t: int) -> float:
         return w.beta2 ** float(-t)
     # hyper_harmonic
     return float(t) ** (-w.eta)
+
+
+def exponential_weight_sum(w: WeightSchedule, T: int) -> float:
+    """sum_{i<=T} gamma_i of exponential weights, in closed form
+    gamma_T * (1 - beta2**T) / (1 - beta2).
+
+    The sum overflows float64 about log(1/(1-beta2)) / log(1/beta2) rounds
+    before gamma_T does (some 6900 rounds for beta2 = 0.999); either is
+    reported as OverflowError, as in ``gamma``.
+    """
+    if w.kind != "exponential":
+        raise ValueError(f"closed-form weight sum needs exponential weights, got {w.kind!r}")
+    total = gamma(w, T) * ((1.0 - w.beta2**T) / (1.0 - w.beta2))
+    if math.isinf(total):
+        raise OverflowError(
+            f"sum of exponential weights (1/{w.beta2})**t up to t = {T} overflows "
+            "float64; use the EMA recursion for long horizons"
+        )
+    return total
+
+
+def per_round(fn, schedule, T: int) -> np.ndarray:
+    """fn(schedule, t) for t = 1..T as a (T,) array, through the scalar
+    definition (``alpha``, ``beta1_at``, ``gamma``, ...) that the per-round
+    engines call, so each entry is bit-identical to theirs."""
+    return np.fromiter(map(partial(fn, schedule), range(1, T + 1)), np.float64, T)
 
 
 def balance(w: WeightSchedule, t: int, running_sum: float) -> float:

@@ -21,7 +21,9 @@ They differ only in how V_t is built:
 ``epsilon`` is added to V_t after the root.  Odd p1 accumulates |g|^p1 so the
 radicand stays non-negative.  Step functions mutate ``state`` in place and
 return it; the preconditioner actually applied is left in ``state.last_V``
-with the step size in ``state.last_alpha`` for tracing.
+with the step size in ``state.last_alpha`` for tracing.  The raw weighted
+sum can overflow float64 (exponential weights); the sum engine then raises
+NonFinitePreconditioner naming the round, in both of its forms.
 
 Each engine's preconditioner rule also has an array form (``_sum_stream``,
 ``_stable_stream``, ``_ema_stream``) next to its per-round rule.
@@ -32,13 +34,12 @@ is known in advance, bit-identical to the per-round engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from . import schedules
-from .errors import NonFiniteGradient
+from .errors import NonFiniteGradient, NonFinitePreconditioner
 from .feasible import FeasibleSet
 from .numerics import as_vector, elem_root
 from .schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
@@ -161,6 +162,8 @@ def wagmf_step(
     prev_ws = state.weight_sum
     ws = prev_ws + gam
     V = _root(v * (1.0 / ws), cfg.p2)
+    if not np.isfinite(V).all():
+        _overflow(t)
     if cfg.epsilon:
         V += cfg.epsilon
     a_t = schedules.alpha(cfg.step, t)
@@ -175,11 +178,22 @@ def wagmf_step(
     return state
 
 
+def _overflow(t: int):
+    raise NonFinitePreconditioner(
+        f"V_t is not finite at round {t}: the weighted sum of gradient powers "
+        "overflowed float64; shorten T or use a bounded weight schedule"
+    )
+
+
 def _sum_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     """Array form of wagmf_step's preconditioner: V_t for every round."""
-    gam = _per_round(schedules.gamma, cfg.weight, G.shape[0])
+    gam = schedules.per_round(schedules.gamma, cfg.weight, G.shape[0])
     v = np.cumsum(gam[:, None] * _gpow(G, cfg.p1), axis=0)
-    return _root(v * (1.0 / np.cumsum(gam))[:, None], cfg.p2)
+    V = _root(v * (1.0 / np.cumsum(gam))[:, None], cfg.p2)
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():
+        _overflow(int(np.argmin(finite)) + 1)
+    return V
 
 
 def stable_step(
@@ -275,7 +289,7 @@ def _ema_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     if cfg.engine == "amsgrad":
         v = np.maximum.accumulate(v, axis=0)
     if cfg.bias_correction:
-        v = v / _per_round(_bias, beta2, G.shape[0])[:, None]
+        v = v / schedules.per_round(_bias, beta2, G.shape[0])[:, None]
     return np.sqrt(v)
 
 
@@ -298,12 +312,6 @@ _STREAM_FN = {
     "ema": _ema_stream,
     "amsgrad": _ema_stream,
 }
-
-
-def _per_round(fn, schedule, T: int) -> np.ndarray:
-    """fn(schedule, t) for t = 1..T, through the scalar definition the
-    per-round engines call."""
-    return np.fromiter(map(partial(fn, schedule), range(1, T + 1)), np.float64, T)
 
 
 def _recur(coefs, adds):
@@ -346,7 +354,7 @@ def _momentum_stream(G: np.ndarray, mom: MomentumSchedule) -> np.ndarray:
     if mom.lam == 1.0:
         b1 = float(mom.beta1)
         return _scan(b1, (1.0 - b1) * G)
-    b1 = _per_round(schedules.beta1_at, mom, G.shape[0])
+    b1 = schedules.per_round(schedules.beta1_at, mom, G.shape[0])
     return _scan(b1, (1.0 - b1)[:, None] * G)
 
 
@@ -370,7 +378,7 @@ def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
     G = np.asarray(G, dtype=np.float64)
     _check_grad(G)
     T, d = G.shape
-    alphas = _per_round(schedules.alpha, cfg.step, T)
+    alphas = schedules.per_round(schedules.alpha, cfg.step, T)
     eng = cfg.engine
     if eng == "sign":
         V, direction = np.abs(G), np.sign(G)
@@ -382,7 +390,7 @@ def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
             V += cfg.epsilon
         M = _momentum_stream(G, cfg.momentum)
         if cfg.bias_correction:
-            M = M / _per_round(_bias, cfg.momentum.beta1, T)[:, None]
+            M = M / schedules.per_round(_bias, cfg.momentum.beta1, T)[:, None]
         direction = _direction(M, V, cfg.epsilon)
     U = alphas[:, None] * direction
     path = np.empty((T + 1, d))

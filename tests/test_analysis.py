@@ -24,6 +24,7 @@ from wagmf.errors import (
 )
 from wagmf.feasible import FeasibleSet
 from wagmf.presets import init_state, make_preset, step
+from wagmf.schedules import MomentumSchedule, beta1_at
 from wagmf.problems import (
     MinibatchOracle,
     ReddiOnline,
@@ -207,6 +208,15 @@ def test_thm1_bound_zero_momentum_kills_term2():
     tr = run_preset("adagrad", 0.5, orc, 50, seed=2)
     rep = thm1_bound(tr, 2.0, 0.0, 1.0)
     assert rep.term2 == 0.0
+
+
+def test_thm1_term2_uses_beta1_at_bit_for_bit():
+    tr = run_preset("wada", 0.5, ReddiOnline(), 300, seed=2, overrides={"lambda": 0.99})
+    rep = thm1_bound(tr, 2.0, 0.9, 0.99)
+    mom = MomentumSchedule(0.9, 0.99)
+    b1t = np.array([beta1_at(mom, t) for t in range(1, tr.T + 1)])
+    v_prev = np.concatenate([[0.0], tr.V[:-1].sum(axis=1)])
+    assert rep.term2 == 0.5 * 4.0 * float(np.sum(b1t * v_prev / ((1.0 - b1t) * tr.alpha)))
 
 
 def test_thm1_bound_requires_bounded_set():

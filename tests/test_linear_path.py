@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wagmf import presets, schedules
+from wagmf.errors import NonFinitePreconditioner
 from wagmf.problems import ReddiOnline, ReddiStochastic, RoundRng
 from wagmf.runner import build_problem, parse_config, run, run_rounds
 
@@ -99,3 +100,18 @@ def test_debug_checks_still_raise_on_linear_oracles(monkeypatch):
     monkeypatch.setattr(schedules, "check_nonincrease", lambda *args: False)
     with pytest.raises(AssertionError):
         run(parse_config(cfg))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_both_paths_name_the_same_overflow_round():
+    # gamma_t = 2**t: the weight sum stays finite through T = 1022, but the
+    # spike g = 1010 of round 1011 overflows 2**1011 * 1010**2
+    preset = presets.make_preset("adam", 0.1, {"engine": "wagmf_sum", "beta2": 0.5})
+    assert parse_config(
+        {"problem": {"kind": "reddi_online"}, "optimizers": ["adam"], "T": 1022,
+         "overrides": {"engine": "wagmf_sum", "beta2": 0.5}}
+    ).T == 1022
+    setup = SETUPS["reddi_online-box"]
+    for s in (setup, per_round(setup)):
+        with pytest.raises(NonFinitePreconditioner, match="round 1011:"):
+            run_rounds(s, preset, 1022, 0)

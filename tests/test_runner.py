@@ -5,12 +5,16 @@ worker counts."""
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wagmf
 from wagmf.analysis import RunTrace
-from wagmf.errors import ConfigError, InsufficientSeeds
+from wagmf.errors import ConfigError, InsufficientSeeds, NonFinitePreconditioner
 from wagmf.problems import Quadratic
 from wagmf.runner import (
     ExperimentConfig,
@@ -307,19 +311,31 @@ def test_validate_config_checks_presets_and_modes():
     assert setup.oracle.dim == 2
 
 
-def test_exponential_weight_overflow_fails_at_parse_time():
-    # (1/0.999)**t overflows float64 first at t = 709428
-    def raw(T):
-        return minimal_raw(
-            problem={"kind": "reddi_stochastic"},
-            optimizers=[{"name": "adam", "alphas": [0.1]}],
-            overrides={"engine": "wagmf_sum"},
-            T=T,
-        )
+def adam_sum_raw(T):
+    return minimal_raw(
+        problem={"kind": "reddi_stochastic"},
+        optimizers=[{"name": "adam", "alphas": [0.1]}],
+        overrides={"engine": "wagmf_sum"},
+        T=T,
+    )
 
-    assert parse_config(raw(709_427)).T == 709_427
-    with pytest.raises(ConfigError, match="'adam'"):
-        parse_config(raw(709_428))
+
+def test_exponential_weight_overflow_fails_at_parse_time():
+    # the running sum of (1/0.999)**t overflows float64 first at t = 702524,
+    # the weight itself at t = 709428
+    assert parse_config(adam_sum_raw(702_523)).T == 702_523
+    for T in (702_524, 709_428):
+        with pytest.raises(ConfigError, match="'adam'"):
+            parse_config(adam_sum_raw(T))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_preconditioner_names_its_round():
+    # the weight sum stays finite, but sum_i gamma_i g_i^2 with |g| up to
+    # 1010 overflows, and V_t turns infinite at round 693328 on this stream
+    cfg = parse_config(adam_sum_raw(700_000))
+    with pytest.raises(NonFinitePreconditioner, match="round 693328"):
+        run(cfg)
 
 
 def test_checkpoints_are_sorted_and_recorded():
@@ -509,6 +525,50 @@ def test_run_is_identical_across_worker_counts(monkeypatch, tmp_path):
     monkeypatch.setenv("WAGMF_THREADS", "2")
     pooled = run(parse_config(raw))
     assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+
+
+def test_cells_sharing_a_minibatch_oracle_match_fresh_ones():
+    # serial cells share one oracle and its epoch-permutation cache; every
+    # cell here stays in epoch 0, so a cache that ignored the seed would
+    # hand seed 1 the permutation of seed 0
+    def raw(seeds):
+        return minimal_raw(
+            problem={
+                "kind": "softmax",
+                "data": {"blobs": {"n": 60, "d": 3, "k": 3, "seed": 4}},
+                "batch_size": 16,
+            },
+            optimizers=[{"name": "adam", "alphas": [0.1, 0.3]}, {"name": "wada", "alphas": [0.1]}],
+            seeds=seeds,
+            T=3,
+        )
+
+    shared = run(parse_config(raw([0, 1])))["runs"]
+    for seed in (0, 1):
+        alone = run(parse_config(raw([seed])))["runs"]
+        assert [r for r in shared if r["seed"] == seed] == alone
+
+
+def test_scipy_loads_only_for_significance():
+    script = (
+        "import sys\n"
+        "import wagmf\n"
+        "from wagmf.runner import parse_config, run\n"
+        "raw = {'problem': {'kind': 'quadratic', 'dim': 2}, 'T': 20, 'seeds': [0, 1],\n"
+        "       'optimizers': [{'name': 'adagrad', 'alphas': [0.5]}, 'sgd']}\n"
+        "run(parse_config(raw))\n"
+        "print('scipy' in sys.modules)\n"
+        "summary = run(parse_config(dict(raw, significance=True)))\n"
+        "print('scipy' in sys.modules, 0.0 <= summary['significance']['adagrad vs sgd']['p'] <= 1.0)\n"
+    )
+    src = str(Path(wagmf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("WAGMF_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["False", "True True"]
 
 
 def test_repeat_runs_write_identical_summaries(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from wagmf.schedules import (
     balance,
     beta1_at,
     check_nonincrease,
+    exponential_weight_sum,
     gamma,
+    per_round,
 )
 
 
@@ -75,6 +78,30 @@ def test_gamma_exponential_overflow_raises():
     assert math.isfinite(gamma(w, 1023))
     with pytest.raises(OverflowError):
         gamma(w, 1100)
+
+
+def test_per_round_tabulates_the_scalar_schedule():
+    m = MomentumSchedule(0.9, 0.99)
+    b = per_round(beta1_at, m, 50)
+    assert b.dtype == np.float64 and b.shape == (50,)
+    assert b.tolist() == [beta1_at(m, t) for t in range(1, 51)]
+
+
+@pytest.mark.parametrize("beta2", [0.5, 0.9, 0.999])
+def test_exponential_weight_sum_overflows_with_the_running_sum(beta2):
+    # the closed form overflows at the same round as the running float sum
+    # the engines accumulate, some rounds before gamma_t itself does
+    w = WeightSchedule.exponential(beta2)
+    n = int(math.log(sys.float_info.max) / math.log(1.0 / beta2)) - 1  # gamma_n is finite
+    with np.errstate(over="ignore"):
+        running = np.cumsum(per_round(gamma, w, n))
+    edge = int(np.argmax(np.isinf(running))) + 1
+    assert math.isfinite(gamma(w, edge))
+    assert exponential_weight_sum(w, edge - 1) == pytest.approx(running[edge - 2], rel=1e-12)
+    with pytest.raises(OverflowError):
+        exponential_weight_sum(w, edge)
+    with pytest.raises(ValueError):
+        exponential_weight_sum(WeightSchedule.linear(), 10)
 
 
 def test_gamma_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wagmf.errors import NonFiniteGradient
+from wagmf.errors import NonFiniteGradient, NonFinitePreconditioner
 from wagmf.feasible import FeasibleSet
 from wagmf.schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
 from wagmf.steps import (
@@ -260,6 +260,15 @@ def test_nonfinite_gradient_rejected():
         wagmf_step(st, np.array([np.nan]), cfg, FREE)
     with pytest.raises(NonFiniteGradient):
         wagmf_step(st, np.array([np.inf]), cfg, FREE)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_nonfinite_preconditioner_rejected():
+    cfg = cfg_sum()
+    st = init_state([0.0], cfg)
+    wagmf_step(st, np.array([1.0]), cfg, FREE)
+    with pytest.raises(NonFinitePreconditioner, match="round 2:"):
+        wagmf_step(st, np.array([1e200]), cfg, FREE)
 
 
 def test_engine_dispatch_guards():
