@@ -16,7 +16,7 @@ from .analysis import (
     weighted_dd_term,
 )
 from .feasible import FeasibleSet, diameter_inf, project
-from .presets import Preset, make_preset, preset_names, step
+from .presets import Preset, make_preset, preset_names
 from .presets import init_state as preset_state
 from .problems import (
     Dataset,
@@ -29,15 +29,12 @@ from .problems import (
     SoftmaxObjective,
     gaussian_blobs,
     load_dataset,
-    minibatch_oracle,
-    quadratic,
     softmax_objective,
 )
 from .runner import (
     ExperimentConfig,
     ProblemSetup,
     build_problem,
-    grid_search,
     parse_config,
     run,
     run_rounds,
@@ -52,13 +49,6 @@ from .schedules import (
     check_nonincrease,
     gamma,
 )
-from .steps import (
-    OptimizerConfig,
-    OptimizerState,
-    generic_step,
-    init_state,
-    stable_step,
-    wagmf_step,
-)
+from .steps import OptimizerConfig, OptimizerState, init_state, step
 
 __version__ = "0.1.0"

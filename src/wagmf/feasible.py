@@ -54,18 +54,19 @@ class FeasibleSet:
         return bool((x >= self.lo - atol).all() and (x <= self.hi + atol).all())
 
 
-def project(fset: FeasibleSet, v_diag: np.ndarray, y: np.ndarray) -> np.ndarray:
+def project(fset: FeasibleSet, v_diag: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Projection of y onto the set under the weighted norm ||.||_V.
 
     ``v_diag`` is accepted for interface completeness; boxes are clamped
     identically for every positive diagonal metric (see module docstring).
-    The unconstrained set returns y unchanged.
+    The unconstrained set returns y unchanged.  ``out=y`` projects y in
+    place, as the step engine does every round.
     """
     if not fset.is_box:
         return y
     if y.shape != fset.lo.shape:
         raise DimMismatch(f"point has shape {y.shape}, box wants {fset.lo.shape}")
-    return np.clip(y, fset.lo, fset.hi)
+    return np.clip(y, fset.lo, fset.hi, out=out)
 
 
 def diameter_inf(fset: FeasibleSet) -> float:

@@ -1,6 +1,9 @@
 """Float64 vector helpers: elementwise integer powers and roots, and
 diagonally weighted norms.
 
+``abs_pow`` and ``root`` are the unchecked kernels both forms of the step
+call; ``elem_root`` validates its radicand and then calls ``root``.
+
 Vectors are plain one-dimensional ``numpy.float64`` arrays throughout the
 package; a diagonal metric is a vector of strictly positive entries standing
 in for the diagonal matrix it parameterizes.
@@ -27,14 +30,6 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def as_metric(diag) -> np.ndarray:
-    """Coerce ``diag`` to a valid diagonal metric (finite, strictly positive)."""
-    d = as_vector(diag)
-    if (d <= 0.0).any():
-        raise ValueError("diagonal metric entries must be strictly positive")
-    return d
-
-
 def elem_pow(v: np.ndarray, p: int) -> np.ndarray:
     """Elementwise integer power v**p (p >= 1).
 
@@ -49,37 +44,51 @@ def elem_pow(v: np.ndarray, p: int) -> np.ndarray:
     return np.power(v, p)
 
 
-def _is_pow2(p: int) -> bool:
-    return p >= 1 and (p & (p - 1)) == 0
+def abs_pow(v: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise |v|**p for an integer p >= 1, unchecked."""
+    if p == 2:
+        return v * v
+    if p % 2 == 0:
+        return np.power(v, p)
+    return np.power(np.abs(v), p)
+
+
+def root(v: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise p-th root of a non-negative array, unchecked; always a new
+    array.  Orders that are a power of two go through repeated ``sqrt``, one
+    correctly rounded op per halving, instead of ``v ** (1/p)``; 2 and 4,
+    the orders the presets use, are spelled out because the step calls this
+    every round."""
+    if p == 2:
+        return np.sqrt(v)
+    if p == 4:
+        return np.sqrt(np.sqrt(v))
+    if p == 1:
+        return np.array(v, copy=True)
+    if p & (p - 1):
+        return np.power(v, 1.0 / p)
+    return root(np.sqrt(v), p // 2)
 
 
 def elem_root(v: np.ndarray, p: int) -> np.ndarray:
     """Elementwise real p-th root.
 
     For even p every entry must be non-negative (NegativeRadicand otherwise);
-    for odd p the real root is used, so sign is preserved.  Roots of order a
-    power of two go through repeated ``sqrt`` — one correctly rounded op per
-    halving — instead of ``v ** (1/p)``, which keeps ``elem_root(elem_pow(v,
-    p), p)`` within a few ulps of ``|v|``.
+    for odd p the real root is used, so sign is preserved.  The roots come
+    from ``root``, which keeps ``elem_root(elem_pow(v, p), p)`` within a few
+    ulps of ``|v|``.
     """
     if p < 1:
         raise ValueError(f"root order must be a positive integer, got {p}")
     v = np.asarray(v, dtype=np.float64)
-    if p == 1:
-        return np.array(v, copy=True)
     if p % 2 == 0:
         if (v < 0.0).any():
             raise NegativeRadicand(f"even root ({p}) of a negative entry")
-        if _is_pow2(p):
-            out = np.sqrt(v)
-            k = p // 2
-            while k > 1:
-                np.sqrt(out, out=out)
-                k //= 2
-            return out
-        return np.power(v, 1.0 / p)
+        return root(v, p)
+    if p == 1:
+        return np.array(v, copy=True)
     # odd order: real root, sign carried through
-    return np.sign(v) * np.power(np.abs(v), 1.0 / p)
+    return np.sign(v) * root(np.abs(v), p)
 
 
 def weighted_norm_sq(x: np.ndarray, diag: np.ndarray) -> float:

@@ -35,17 +35,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidOverride, UnknownPreset
-from .feasible import FeasibleSet
 from .schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
-from .steps import STEP_FN, OptimizerConfig, OptimizerState
+from .steps import ENGINES, OptimizerConfig, OptimizerState
 from . import steps
 
 DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
 DEFAULT_EPSILON = 1e-7
+
+# engine -> step function.  Every engine runs ``steps.step``; run_rounds
+# looks the step up here, so tools that time or replace it per engine patch
+# this one table.
+STEP_FN = dict.fromkeys(ENGINES, steps.step)
 
 # name -> (engine, weight kind, p1, p2, default beta1)
 _TABLE = {
@@ -149,10 +151,3 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Prese
 
 def init_state(preset: Preset, x0) -> OptimizerState:
     return steps.init_state(x0, preset.config)
-
-
-def step(
-    preset: Preset, state: OptimizerState, g: np.ndarray, fset: FeasibleSet
-) -> OptimizerState:
-    """Advance one round with the preset's engine.  Mutates and returns state."""
-    return STEP_FN[preset.config.engine](state, g, preset.config, fset)

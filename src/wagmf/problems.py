@@ -169,10 +169,6 @@ class Quadratic(LossOracle):
         return 0.5 * float(g @ diff), g
 
 
-def quadratic(a_diag, x_star) -> Quadratic:
-    return Quadratic(a_diag, x_star)
-
-
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -440,7 +436,3 @@ class MinibatchOracle(LossOracle):
 
     def full_loss(self, x) -> float:
         return self.objective.loss_and_grad(x)[0]
-
-
-def minibatch_oracle(objective: SoftmaxObjective, batch_size: int) -> MinibatchOracle:
-    return MinibatchOracle(objective, batch_size)

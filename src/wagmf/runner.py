@@ -312,7 +312,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         alphas = entry.get("alphas", [0.1])
         if not isinstance(alphas, list) or not alphas:
             raise ConfigError(f"optimizer {entry['name']!r} needs a non-empty alpha grid")
-        alphas = [float(a) for a in alphas]
+        try:
+            alphas = [float(a) for a in alphas]
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"optimizer {entry['name']!r} has a non-numeric alpha in {alphas!r}"
+            ) from None
         if any(a <= 0.0 for a in alphas):
             raise ConfigError(f"optimizer {entry['name']!r} has a non-positive alpha")
         optimizers.append({"name": entry["name"], "alphas": alphas})
@@ -587,21 +592,3 @@ def significance(results: list[dict], best: dict) -> dict:
                 "significant": bool(p < _ALPHA_SIG),
             }
     return table
-
-
-def grid_search(config: ExperimentConfig) -> dict:
-    """Run the sweep without side outputs and report per-cell scores plus the
-    selected alpha per optimizer."""
-    cfg = ExperimentConfig(
-        problem=config.problem,
-        optimizers=config.optimizers,
-        T=config.T,
-        seeds=config.seeds,
-        out=None,
-        bound_eval=False,
-        significance=False,
-        overrides=config.overrides,
-        checkpoints=config.checkpoints,
-    )
-    summary = run(cfg)
-    return summary["best"]

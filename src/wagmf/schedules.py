@@ -7,13 +7,10 @@ plus ``per_round``, which tabulates any of them over rounds 1..T.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-
-_LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 
 STEP_KINDS = ("inv_sqrt", "constant")
 WEIGHT_KINDS = ("equal", "linear", "exponential", "hyper_harmonic")
@@ -104,8 +101,9 @@ def gamma(w: WeightSchedule, t: int) -> float:
     """Weight gamma_t > 0 for round t >= 1.
 
     The explicit exponential path overflows float64 once
-    t * log(1/beta2) exceeds ~709; that is reported as OverflowError rather
-    than silently returning inf (the EMA recursion should be used instead).
+    t * log(1/beta2) exceeds ~709.78; that is reported as OverflowError
+    naming the weight rather than silently returning inf (the EMA recursion
+    should be used instead).
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
@@ -114,14 +112,17 @@ def gamma(w: WeightSchedule, t: int) -> float:
     if w.kind == "linear":
         return float(t)
     if w.kind == "exponential":
-        log_g = t * math.log(1.0 / w.beta2)
-        if log_g > _LOG_MAX:
+        # single correctly-rounded pow; exp(t*log(...)) rounds twice.  The
+        # pow also decides the overflow edge: t * log(1/beta2) is rounded
+        # and equals log(float max) at beta2 = 0.5, t = 1024, where 2**1024
+        # overflows.
+        try:
+            return w.beta2 ** float(-t)
+        except OverflowError:
             raise OverflowError(
                 f"exponential weight (1/{w.beta2})**{t} overflows float64; "
                 "use the EMA recursion for long horizons"
-            )
-        # single correctly-rounded pow; exp(t*log(...)) rounds twice
-        return w.beta2 ** float(-t)
+            ) from None
     # hyper_harmonic
     return float(t) ** (-w.eta)
 
@@ -148,7 +149,7 @@ def exponential_weight_sum(w: WeightSchedule, T: int) -> float:
 def per_round(fn, schedule, T: int) -> np.ndarray:
     """fn(schedule, t) for t = 1..T as a (T,) array, through the scalar
     definition (``alpha``, ``beta1_at``, ``gamma``, ...) that the per-round
-    engines call, so each entry is bit-identical to theirs."""
+    step calls, so each entry is bit-identical to the value it uses."""
     return np.fromiter(map(partial(fn, schedule), range(1, T + 1)), np.float64, T)
 
 

@@ -1,34 +1,42 @@
-"""Core optimizer update engines.
+"""The optimizer update: one step for every engine, which differ only in
+their preconditioner rule.
 
-Every engine shares one skeleton per round t:
+``step`` runs the same round t for every engine:
 
     m_t = beta1_t * m_{t-1} + (1 - beta1_t) * g_t          (momentum)
-    V_t = diagonal preconditioner built from past gradients
+    V_t = rule(g_1, ..., g_t) + epsilon                    (preconditioner)
     x_{t+1} = Project(x_t - alpha_t * m_t / V_t)
 
-They differ only in how V_t is built:
+The rule is the one per-engine part (``_RULES``):
 
-* ``wagmf_step`` keeps the raw weighted sum v_t = sum_i gamma_i |g_i|^p1 and
+* ``wagmf_sum`` keeps the raw weighted sum v_t = sum_i gamma_i |g_i|^p1 and
   normalizes by the running weight sum:  V_t = (v_t / sum_i gamma_i)^(1/p2).
-* ``stable_step`` keeps the linearly-weighted average directly,
+* ``wagmf_stable`` keeps the linearly-weighted average directly,
   v_t = (1 - 2/(t+1)) v_{t-1} + (2/(t+1)) |g_t|^p1,  V_t = v_t^(1/4),
-  which equals the wagmf path with gamma_t = t and p2 = 4 but never
+  which equals the wagmf_sum rule with gamma_t = t and p2 = 4 but never
   accumulates the O(t^2) raw sum.
-* ``generic_step`` covers the EMA family (v_t = beta2 v_{t-1} +
-  (1-beta2) g_t^2, with an optional running max for the amsgrad variant),
-  the sign update, and plain SGD (V_t = 1).
+* ``ema`` and ``amsgrad`` keep v_t = beta2 v_{t-1} + (1-beta2) g_t^2 and take
+  V_t = sqrt(v_t), of the running max of v_t for amsgrad; with
+  ``bias_correction`` v_t is divided by 1 - beta2^t and m_t by 1 - beta1^t.
+* ``sign`` and ``plain_sgd`` have no rule: they step by alpha_t sign(g_t)
+  and alpha_t m_t, and record V_t = |g_t| and V_t = 1.
 
-``epsilon`` is added to V_t after the root.  Odd p1 accumulates |g|^p1 so the
-radicand stays non-negative.  Step functions mutate ``state`` in place and
-return it; the preconditioner actually applied is left in ``state.last_V``
-with the step size in ``state.last_alpha`` for tracing.  The raw weighted
-sum can overflow float64 (exponential weights); the sum engine then raises
+The four engines with a rule add ``epsilon`` to V_t after the root; sign and
+plain_sgd ignore it.  Odd p1 accumulates |g|^p1 so the radicand stays
+non-negative.  ``step`` mutates ``state`` in place and returns it; the
+preconditioner actually applied is left in ``state.last_V`` with the step
+size in ``state.last_alpha`` for tracing.  The raw weighted sum can overflow
+float64 (exponential weights); the sum rule then raises
 NonFinitePreconditioner naming the round, in both of its forms.
 
-Each engine's preconditioner rule also has an array form (``_sum_stream``,
-``_stable_stream``, ``_ema_stream``) next to its per-round rule.
-``run_stream`` uses them to run all rounds at once on a gradient stream that
-is known in advance, bit-identical to the per-round engines.
+Each rule has a per-round form (``_sum_rule``, ``_stable_rule``,
+``_ema_rule``), which updates the state, and next to it an array form
+(``_sum_stream``, ``_stable_stream``, ``_ema_stream``), which builds V_t for
+every round of a gradient stream known in advance.  One elementwise tail
+(``_tail``: the sign and plain-SGD cases, epsilon, the momentum's bias
+correction and the division) serves ``step`` on (d,) arrays and
+``run_stream`` on (T, d) arrays, so ``run_stream`` is bit-identical to T
+calls of ``step``.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ import numpy as np
 
 from . import schedules
 from .errors import NonFiniteGradient, NonFinitePreconditioner
-from .feasible import FeasibleSet
-from .numerics import as_vector, elem_root
+from .feasible import FeasibleSet, project
+from .numerics import abs_pow, as_vector, root
 from .schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
 
 ENGINES = ("wagmf_sum", "wagmf_stable", "ema", "amsgrad", "sign", "plain_sgd")
@@ -103,22 +111,6 @@ def _check_grad(g: np.ndarray) -> None:
         raise NonFiniteGradient("gradient contains NaN or Inf")
 
 
-def _gpow(g: np.ndarray, p1: int) -> np.ndarray:
-    if p1 == 2:
-        return g * g
-    if p1 % 2 == 0:
-        return np.power(g, p1)
-    return np.power(np.abs(g), p1)
-
-
-def _root(v: np.ndarray, p2: int) -> np.ndarray:
-    if p2 == 2:
-        return np.sqrt(v)
-    if p2 == 4:
-        return np.sqrt(np.sqrt(v))
-    return elem_root(v, p2)
-
-
 def _bias(beta: float, t: int) -> float:
     """Adam-style bias-correction divisor 1 - beta**t."""
     return 1.0 - beta**t
@@ -140,44 +132,6 @@ def _direction(m_eff: np.ndarray, V: np.ndarray, eps: float) -> np.ndarray:
     return np.divide(m_eff, V, out=np.zeros_like(m_eff), where=V > 0.0)
 
 
-def _descend(state, m_eff, V, a_t, eps, fset: FeasibleSet) -> None:
-    x = state.x
-    x -= a_t * _direction(m_eff, V, eps)
-    if fset.is_box:
-        np.clip(x, fset.lo, fset.hi, out=x)
-
-
-def wagmf_step(
-    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet
-) -> OptimizerState:
-    """One round of the weighted-sum engine (gamma_t from cfg.weight)."""
-    if cfg.engine != "wagmf_sum":
-        raise ValueError(f"wagmf_step called with engine {cfg.engine!r}")
-    _check_grad(g)
-    t = state.t + 1
-    m = _momentum(state, g, cfg.momentum, t)
-    gam = schedules.gamma(cfg.weight, t)
-    v = state.v
-    v += gam * _gpow(g, cfg.p1)
-    prev_ws = state.weight_sum
-    ws = prev_ws + gam
-    V = _root(v * (1.0 / ws), cfg.p2)
-    if not np.isfinite(V).all():
-        _overflow(t)
-    if cfg.epsilon:
-        V += cfg.epsilon
-    a_t = schedules.alpha(cfg.step, t)
-    if cfg.debug_checks and t >= 2:
-        a_prev = schedules.alpha(cfg.step, t - 1)
-        assert schedules.check_nonincrease(1.0 / prev_ws, 1.0 / ws, a_prev, a_t, cfg.p2)
-    _descend(state, m, V, a_t, cfg.epsilon, fset)
-    state.t = t
-    state.weight_sum = ws
-    state.last_V = V
-    state.last_alpha = a_t
-    return state
-
-
 def _overflow(t: int):
     raise NonFinitePreconditioner(
         f"V_t is not finite at round {t}: the weighted sum of gradient powers "
@@ -185,105 +139,60 @@ def _overflow(t: int):
     )
 
 
+# ---------------------------------------------------------------------------
+# preconditioner rules: per round (state updated, V_t returned before epsilon)
+# and in array form (V_t for every round of a (T, d) gradient stream)
+
+
+def _sum_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
+    gam = schedules.gamma(cfg.weight, t)
+    v = state.v
+    v += gam * abs_pow(g, cfg.p1)
+    state.weight_sum += gam
+    V = root(v * (1.0 / state.weight_sum), cfg.p2)
+    if not np.isfinite(V).all():
+        _overflow(t)
+    return V
+
+
 def _sum_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """Array form of wagmf_step's preconditioner: V_t for every round."""
     gam = schedules.per_round(schedules.gamma, cfg.weight, G.shape[0])
-    v = np.cumsum(gam[:, None] * _gpow(G, cfg.p1), axis=0)
-    V = _root(v * (1.0 / np.cumsum(gam))[:, None], cfg.p2)
+    v = np.cumsum(gam[:, None] * abs_pow(G, cfg.p1), axis=0)
+    V = root(v * (1.0 / np.cumsum(gam))[:, None], cfg.p2)
     finite = np.isfinite(V).all(axis=1)
     if not finite.all():
         _overflow(int(np.argmin(finite)) + 1)
     return V
 
 
-def stable_step(
-    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet
-) -> OptimizerState:
-    """One round of the normalized recursion for linear weights and p2 = 4."""
-    if cfg.engine != "wagmf_stable":
-        raise ValueError(f"stable_step called with engine {cfg.engine!r}")
-    _check_grad(g)
-    t = state.t + 1
-    m = _momentum(state, g, cfg.momentum, t)
+def _stable_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
     c = 2.0 / (t + 1.0)
     v = state.v
     v *= 1.0 - c
-    v += c * _gpow(g, cfg.p1)
-    V = np.sqrt(np.sqrt(v))
-    if cfg.epsilon:
-        V += cfg.epsilon
-    a_t = schedules.alpha(cfg.step, t)
-    if cfg.debug_checks and t >= 2:
-        # implied balance term for gamma_i = i is b_t = 2 / (t (t+1))
-        a_prev = schedules.alpha(cfg.step, t - 1)
-        b_prev = 2.0 / ((t - 1.0) * t)
-        b_curr = 2.0 / (t * (t + 1.0))
-        assert schedules.check_nonincrease(b_prev, b_curr, a_prev, a_t, 4)
-    _descend(state, m, V, a_t, cfg.epsilon, fset)
-    state.t = t
-    state.weight_sum = state.weight_sum + t
-    state.last_V = V
-    state.last_alpha = a_t
-    return state
+    v += c * abs_pow(g, cfg.p1)
+    state.weight_sum += t
+    return root(v, cfg.p2)
 
 
 def _stable_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """Array form of stable_step's preconditioner: V_t for every round."""
     c = 2.0 / (np.arange(1, G.shape[0] + 1) + 1.0)
-    v = _scan(1.0 - c, c[:, None] * _gpow(G, cfg.p1))
-    return np.sqrt(np.sqrt(v))
+    v = _scan(1.0 - c, c[:, None] * abs_pow(G, cfg.p1))
+    return root(v, cfg.p2)
 
 
-def generic_step(
-    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet
-) -> OptimizerState:
-    """One round of the EMA family (ema/amsgrad), sign update, or plain SGD."""
-    eng = cfg.engine
-    if eng not in ("ema", "amsgrad", "sign", "plain_sgd"):
-        raise ValueError(f"generic_step called with engine {eng!r}")
-    _check_grad(g)
-    t = state.t + 1
-    m = _momentum(state, g, cfg.momentum, t)
-    a_t = schedules.alpha(cfg.step, t)
-    if eng == "plain_sgd":
-        V = np.ones_like(state.x)
-        x = state.x
-        x -= a_t * m
-        if fset.is_box:
-            np.clip(x, fset.lo, fset.hi, out=x)
-    elif eng == "sign":
-        # x - alpha * sign(g) is x - alpha * g / |g| where defined; the
-        # effective preconditioner |g_t| is recorded for diagnostics
-        V = np.abs(g)
-        x = state.x
-        x -= a_t * np.sign(g)
-        if fset.is_box:
-            np.clip(x, fset.lo, fset.hi, out=x)
-    else:
-        beta2 = cfg.weight.beta2
-        v = state.v
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        vv = state.v_hat if eng == "amsgrad" else v
-        if eng == "amsgrad":
-            np.maximum(vv, v, out=vv)
-        m_eff = m
-        if cfg.bias_correction:
-            vv = vv / _bias(beta2, t)
-            m_eff = m / _bias(cfg.momentum.beta1, t)
-        V = np.sqrt(vv)
-        if cfg.epsilon:
-            V += cfg.epsilon
-        _descend(state, m_eff, V, a_t, cfg.epsilon, fset)
-    state.t = t
-    state.last_V = V
-    state.last_alpha = a_t
-    return state
+def _ema_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
+    beta2 = cfg.weight.beta2
+    v = state.v
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    if cfg.engine == "amsgrad":
+        v = np.maximum(state.v_hat, v, out=state.v_hat)
+    if cfg.bias_correction:
+        v = v / _bias(beta2, t)
+    return np.sqrt(v)
 
 
 def _ema_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """Array form of generic_step's ema/amsgrad preconditioner: V_t for every
-    round (run_stream applies the momentum's bias correction)."""
     beta2 = cfg.weight.beta2
     v = _scan(float(beta2), (1.0 - beta2) * (G * G))
     if cfg.engine == "amsgrad":
@@ -293,25 +202,75 @@ def _ema_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return np.sqrt(v)
 
 
-STEP_FN = {
-    "wagmf_sum": wagmf_step,
-    "wagmf_stable": stable_step,
-    "ema": generic_step,
-    "amsgrad": generic_step,
-    "sign": generic_step,
-    "plain_sgd": generic_step,
+# engine -> (per-round rule, array form); sign and plain_sgd build no V_t
+_RULES = {
+    "wagmf_sum": (_sum_rule, _sum_stream),
+    "wagmf_stable": (_stable_rule, _stable_stream),
+    "ema": (_ema_rule, _ema_stream),
+    "amsgrad": (_ema_rule, _ema_stream),
+    "sign": (None, None),
+    "plain_sgd": (None, None),
 }
+
+# the engines whose rule keeps the running weight sum behind b_t
+_WEIGHTED = ("wagmf_sum", "wagmf_stable")
+
+
+def _tail(cfg: OptimizerConfig, g: np.ndarray, m, V, bias1):
+    """(V, u) with x_{t+1} = Project(x_t - alpha_t * u): the applied
+    preconditioner and the direction, elementwise on one round's (d,) arrays
+    or a stream's (T, d) arrays.  ``V`` is the rule's output (None for sign
+    and plain_sgd, ``m`` None for sign); ``bias1`` is the momentum's
+    divisor 1 - beta1^t, or None without bias correction."""
+    if cfg.engine == "sign":
+        # x - alpha * sign(g) is x - alpha * g / |g| where defined; the
+        # effective preconditioner |g_t| is recorded for diagnostics
+        return np.abs(g), np.sign(g)
+    if cfg.engine == "plain_sgd":
+        return np.ones_like(g), m
+    eps = cfg.epsilon
+    if eps:
+        V += eps
+    if bias1 is not None:
+        m = m / bias1
+    return V, _direction(m, V, eps)
+
+
+def step(
+    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet
+) -> OptimizerState:
+    """One round of ``cfg.engine`` on gradient ``g``.  Mutates and returns
+    ``state``.
+
+    With ``debug_checks`` on a weighted engine it asserts the hypothesis of
+    the regret analysis each round: b_t^(-p2) / alpha_t does not decrease,
+    with b_t = 1 / sum_i gamma_i from the running weight sum.
+    """
+    _check_grad(g)
+    t = state.t + 1
+    m = _momentum(state, g, cfg.momentum, t)
+    a_t = schedules.alpha(cfg.step, t)
+    prev_ws = state.weight_sum
+    rule = _RULES[cfg.engine][0]
+    V = rule(state, g, cfg, t) if rule else None
+    if cfg.debug_checks and t >= 2 and cfg.engine in _WEIGHTED:
+        b_prev = schedules.balance(cfg.weight, t - 1, prev_ws)
+        b_curr = schedules.balance(cfg.weight, t, state.weight_sum)
+        a_prev = schedules.alpha(cfg.step, t - 1)
+        assert schedules.check_nonincrease(b_prev, b_curr, a_prev, a_t, cfg.p2)
+    bias1 = _bias(cfg.momentum.beta1, t) if cfg.bias_correction else None
+    V, u = _tail(cfg, g, m, V, bias1)
+    x = state.x
+    x -= a_t * u
+    project(fset, V, x, out=x)
+    state.t = t
+    state.last_V = V
+    state.last_alpha = a_t
+    return state
 
 
 # ---------------------------------------------------------------------------
 # array form: a whole gradient stream at once
-
-_STREAM_FN = {
-    "wagmf_sum": _sum_stream,
-    "wagmf_stable": _stable_stream,
-    "ema": _ema_stream,
-    "amsgrad": _ema_stream,
-}
 
 
 def _recur(coefs, adds):
@@ -324,7 +283,7 @@ def _recur(coefs, adds):
 def _scan(coef, add: np.ndarray) -> np.ndarray:
     """y_t = y_{t-1} * coef_t + add_t from y_0 = 0, down each column of
     ``add`` (T, d); ``coef`` is one float or a (T,) array.  The pass runs over
-    Python floats with the per-round engines' operations in their order, so
+    Python floats with the per-round rules' operations in their order, so
     every y_t is bit-identical to theirs."""
     T, d = add.shape
     out = np.empty((T, d))
@@ -359,16 +318,15 @@ def _momentum_stream(G: np.ndarray, mom: MomentumSchedule) -> np.ndarray:
 
 
 def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
-    """All T rounds of the engine on a gradient stream fixed in advance.
+    """All T rounds of ``cfg.engine`` on a gradient stream fixed in advance.
 
     For oracles whose g_t does not depend on x_t.  alpha_t, m_t, v_t, V_t and
     the steps u_t = alpha_t * m_t / V_t are built as arrays; only the clipped
     running sum x_{t+1} = clip(x_t - u_t, lo, hi) stays sequential, as one
     scalar pass per coordinate.  Every value is bit-identical to T calls of
-    the engine's ``STEP_FN`` entry.  Measured on a 2-core x86-64 VM, the
-    whole path costs about 0.5 us per coordinate and round, against 19-28 us
-    per round for the per-round numpy step at any d up to 100, so it wins up
-    to d of about 30.  Every linear oracle here has d = 1, so there is no
+    ``step``.  Measured on a 2-core x86-64 VM, the whole path costs about
+    0.5 us per coordinate and round, against 19-28 us per round for the
+    per-round numpy step at any d up to 100, so it wins up to d of about 30.  Every linear oracle here has d = 1, so there is no
     dimension gate.  ``debug_checks`` is not evaluated.
 
     Returns (path, V, alpha): path (T + 1, d) holds x_1, ..., x_{T+1}, V (T, d)
@@ -379,20 +337,14 @@ def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
     _check_grad(G)
     T, d = G.shape
     alphas = schedules.per_round(schedules.alpha, cfg.step, T)
-    eng = cfg.engine
-    if eng == "sign":
-        V, direction = np.abs(G), np.sign(G)
-    elif eng == "plain_sgd":
-        V, direction = np.ones_like(G), _momentum_stream(G, cfg.momentum)
-    else:
-        V = _STREAM_FN[eng](G, cfg)
-        if cfg.epsilon:
-            V += cfg.epsilon
-        M = _momentum_stream(G, cfg.momentum)
-        if cfg.bias_correction:
-            M = M / schedules.per_round(_bias, cfg.momentum.beta1, T)[:, None]
-        direction = _direction(M, V, cfg.epsilon)
-    U = alphas[:, None] * direction
+    stream = _RULES[cfg.engine][1]
+    V = stream(G, cfg) if stream else None
+    M = None if cfg.engine == "sign" else _momentum_stream(G, cfg.momentum)
+    bias1 = None
+    if cfg.bias_correction:
+        bias1 = schedules.per_round(_bias, cfg.momentum.beta1, T)[:, None]
+    V, U = _tail(cfg, G, M, V, bias1)
+    U = alphas[:, None] * U
     path = np.empty((T + 1, d))
     for j in range(d):
         lo, hi = (float(fset.lo[j]), float(fset.hi[j])) if fset.is_box else (None, None)

@@ -23,16 +23,17 @@ from wagmf.errors import (
     UnboundedSet,
 )
 from wagmf.feasible import FeasibleSet
-from wagmf.presets import init_state, make_preset, step
+from wagmf.presets import init_state, make_preset
+from wagmf.steps import step
 from wagmf.schedules import MomentumSchedule, beta1_at
 from wagmf.problems import (
     MinibatchOracle,
+    Quadratic,
     ReddiOnline,
     ReddiStochastic,
     RoundRng,
     SoftmaxObjective,
     gaussian_blobs,
-    quadratic,
 )
 
 
@@ -65,7 +66,7 @@ def run_preset(preset_name, alpha, oracle, T, seed, box=1.0, overrides=None):
         loss, g = oracle.evaluate(t, st.x, rng)
         ls[t - 1] = loss
         gs[t - 1] = g
-        step(p, st, g, fs)
+        step(st, g, p.config, fs)
         Vs[t - 1] = st.last_V
         als[t - 1] = st.last_alpha
     return RunTrace(
@@ -127,7 +128,7 @@ def test_regret_online_period_at_plus_one():
 
 
 def test_regret_time_invariant_route():
-    orc = quadratic([1.0, 1.0], [0.0, 0.0])
+    orc = Quadratic([1.0, 1.0], [0.0, 0.0])
     # single round at x = (1, 1): f = 1.0, f(x*) = 0
     tr = fixed_trace([[1.0, 1.0]], [[1.0, 1.0]], [1.0], [0.1], [[1.0, 1.0]])
     rs = regret(tr, orc, np.array([0.0, 0.0]))
@@ -316,7 +317,7 @@ def test_lemma3_domain_errors():
 
 
 def test_fd_check_accepts_true_gradient_and_flags_wrong_one():
-    orc = quadratic([1.0, 3.0], [0.2, -0.4])
+    orc = Quadratic([1.0, 3.0], [0.2, -0.4])
 
     def good(x):
         return orc.evaluate(1, x)

@@ -2,8 +2,14 @@
 output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import wagmf
 
 from wagmf.cli import main
 
@@ -131,6 +137,20 @@ def test_bad_alpha_grid_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--alpha", "0.1,zap"]) == 1
     assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["x", None])
+def test_non_numeric_config_alpha_exits_one_without_traceback(tmp_path, alpha):
+    cfg = write_config(tmp_path, optimizers=[{"name": "adagrad", "alphas": [alpha]}])
+    src = str(Path(wagmf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "wagmf.cli", "run", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("config error: optimizer 'adagrad' has a non-numeric alpha")
+    assert "Traceback" not in out.stderr
 
 
 def test_significance_flag_prints_pairs(tmp_path, capsys):

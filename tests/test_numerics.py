@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wagmf.errors import DimMismatch, NegativeRadicand, NonFiniteInput, ShapeMismatch
-from wagmf.numerics import as_metric, as_vector, elem_pow, elem_root, weighted_norm_sq
+from wagmf.numerics import as_vector, elem_pow, elem_root, weighted_norm_sq
 
 
 def test_as_vector_coerces_and_validates():
@@ -14,14 +14,6 @@ def test_as_vector_coerces_and_validates():
         as_vector([1.0, np.nan])
     with pytest.raises(NonFiniteInput):
         as_vector([np.inf])
-
-
-def test_as_metric_rejects_nonpositive():
-    as_metric([0.1, 2.0])
-    with pytest.raises(ValueError):
-        as_metric([1.0, 0.0])
-    with pytest.raises(ValueError):
-        as_metric([-1.0])
 
 
 def test_elem_pow_small_cases():

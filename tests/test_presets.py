@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from wagmf.presets import (
     preset_names,
     init_state,
     make_preset,
-    step,
 )
+from wagmf.steps import step
 
 FREE = FeasibleSet.unconstrained()
 
@@ -22,7 +24,7 @@ def drive(preset, grads, x0=None):
     st = init_state(preset, x0 if x0 is not None else np.zeros(np.atleast_1d(grads[0]).shape))
     out = []
     for g in grads:
-        step(preset, st, np.atleast_1d(np.asarray(g, dtype=float)), FREE)
+        step(st, np.atleast_1d(np.asarray(g, dtype=float)), preset.config, FREE)
         out.append(st.x.copy())
     return out, st
 
@@ -44,6 +46,36 @@ def test_catalog_contents():
         "nostalgic",
     ):
         assert expected in names
+
+
+def readme_preset_rows() -> dict[str, list[str]]:
+    """The README preset table: preset name -> [weights, p1, p2, beta1 default]."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("## Presets")
+    rows = {}
+    for line in lines[start:]:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 6 and cells[0].startswith("`"):
+            rows[cells[0].strip("`").split("(")[0]] = cells[1:5]
+        elif rows and not line.startswith("|"):
+            break
+    return rows
+
+
+def test_readme_preset_table_matches_presets():
+    rows = readme_preset_rows()
+    assert sorted(rows) == preset_names()
+    for name, (_, p1, p2, beta1) in rows.items():
+        cfg = make_preset(name, 1.0).config
+        if cfg.engine in ("plain_sgd", "sign"):
+            # these engines build no preconditioner, so p1 and p2 do not apply
+            assert (p1, p2) == ("—", "—"), name
+        else:
+            assert (int(p1), int(p2)) == (cfg.p1, cfg.p2), name
+        if cfg.engine == "sign":
+            assert beta1 == "—", name  # the sign step ignores momentum
+        else:
+            assert float(beta1) == cfg.momentum.beta1, name
 
 
 def test_unknown_name_and_bad_overrides():
@@ -154,7 +186,7 @@ def test_amsgrad_preconditioner_never_shrinks():
     for t in range(1, 100_001):
         # heavy-tailed-ish stream: rare large spikes
         g = rng.standard_normal(2) * (100.0 if rng.uniform() < 0.005 else 1.0)
-        step(p, st, g, FREE)
+        step(st, g, p.config, FREE)
         if prev is not None:
             assert np.all(st.last_V >= prev - 1e-15)
         prev = st.last_V.copy()
@@ -170,7 +202,7 @@ def make_trace(preset_name, alpha, gs):
     als = np.empty(T)
     for i, g in enumerate(gs):
         xs[i] = st.x
-        step(p, st, np.atleast_1d(np.asarray(g, dtype=float)), FREE)
+        step(st, np.atleast_1d(np.asarray(g, dtype=float)), p.config, FREE)
         Vs[i] = st.last_V
         als[i] = st.last_alpha
     return RunTrace(

@@ -15,6 +15,7 @@ from wagmf.errors import (
 from wagmf.problems import (
     Dataset,
     MinibatchOracle,
+    Quadratic,
     ReddiOnline,
     ReddiStochastic,
     RoundRng,
@@ -22,7 +23,6 @@ from wagmf.problems import (
     gaussian_blobs,
     load_dataset,
     pack_params,
-    quadratic,
     softmax_objective,
     unpack_params,
 )
@@ -112,7 +112,7 @@ def test_online_stream_is_periodic():
 
 
 def test_quadratic_values_and_convexity():
-    orc = quadratic([2.0, 0.5], [1.0, -1.0])
+    orc = Quadratic([2.0, 0.5], [1.0, -1.0])
     assert orc.time_invariant and orc.dim == 2
     x = np.array([3.0, 0.0])
     loss, g = orc.evaluate(1, x)
@@ -132,9 +132,9 @@ def test_quadratic_values_and_convexity():
 
 def test_quadratic_argument_validation():
     with pytest.raises(ValueError):
-        quadratic([0.0, 1.0], [0.0, 0.0])
+        Quadratic([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(Exception):
-        quadratic([1.0], [0.0, 0.0])
+        Quadratic([1.0], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------- datasets

@@ -20,7 +20,6 @@ from wagmf.runner import (
     ExperimentConfig,
     TRACE_HEADER,
     build_problem,
-    grid_search,
     initial_point,
     parse_config,
     run,
@@ -329,6 +328,22 @@ def test_exponential_weight_overflow_fails_at_parse_time():
             parse_config(adam_sum_raw(T))
 
 
+def test_exponential_weight_overflow_edge_names_the_weight():
+    # beta2 = 0.5: gamma_1024 = 2**1024 overflows, where a test on
+    # t * log(1/beta2) passed it on to a bare "Numerical result out of range"
+    raw = adam_sum_raw(1024)
+    raw["overrides"]["beta2"] = 0.5
+    with pytest.raises(ConfigError, match=r"'adam'.*\(1/0.5\)\*\*1024 overflows float64"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("alpha", ["x", None])
+def test_non_numeric_alpha_names_its_optimizer(alpha):
+    raw = minimal_raw(optimizers=[{"name": "adagrad", "alphas": [0.1, alpha]}])
+    with pytest.raises(ConfigError, match="optimizer 'adagrad' has a non-numeric alpha"):
+        parse_config(raw)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_overflowing_preconditioner_names_its_round():
     # the weight sum stays finite, but sum_i gamma_i g_i^2 with |g| up to
@@ -492,7 +507,7 @@ def test_grid_search_returns_best_only():
     cfg = parse_config(
         minimal_raw(optimizers=[{"name": "adagrad", "alphas": [0.1, 0.5, 2.0]}])
     )
-    best = grid_search(cfg)
+    best = run(cfg)["best"]
     assert set(best) == {"adagrad"}
     assert best["adagrad"]["alpha"] in (0.1, 0.5, 2.0)
 

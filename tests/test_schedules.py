@@ -74,10 +74,12 @@ def test_gamma_monotonicity():
 
 def test_gamma_exponential_overflow_raises():
     w = WeightSchedule.exponential(0.5)
-    # (1/0.5)^t = 2^t overflows float64 past t = 1023
-    assert math.isfinite(gamma(w, 1023))
-    with pytest.raises(OverflowError):
-        gamma(w, 1100)
+    # (1/0.5)^t = 2^t overflows float64 past t = 1023; at t = 1024,
+    # t * log(2) equals log(float max) to the last bit
+    assert gamma(w, 1023) == 2.0**1023
+    for t in (1024, 1025, 1100):
+        with pytest.raises(OverflowError, match=rf"\(1/0.5\)\*\*{t} overflows float64"):
+            gamma(w, t)
 
 
 def test_per_round_tabulates_the_scalar_schedule():
