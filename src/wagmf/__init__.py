@@ -44,9 +44,7 @@ from .schedules import (
     StepSizeSchedule,
     WeightSchedule,
     alpha,
-    balance,
     beta1_at,
-    check_nonincrease,
     gamma,
 )
 from .steps import OptimizerConfig, OptimizerState, init_state, step

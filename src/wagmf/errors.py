@@ -13,10 +13,6 @@ class ShapeMismatch(WagmfError):
     """Array shapes are inconsistent with the declared layout."""
 
 
-class NegativeRadicand(WagmfError):
-    """An even-order root of a negative value was requested."""
-
-
 class NonFiniteInput(WagmfError):
     """An input contained NaN or Inf."""
 

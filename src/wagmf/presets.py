@@ -32,6 +32,7 @@ on with the ``bias_correction`` override.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -65,21 +66,24 @@ _TABLE = {
     "nostalgic": ("wagmf_sum", "hyper_harmonic", 2, 2, DEFAULT_BETA1),
 }
 
-_OVERRIDE_KEYS = frozenset(
-    {
-        "beta1",
-        "lambda",
-        "beta2",
-        "eta",
-        "epsilon",
-        "p1",
-        "p2",
-        "step_kind",
-        "engine",
-        "bias_correction",
-        "debug_checks",
-    }
-)
+_NUMBER = (numbers.Real, "a number")
+_INTEGER = (numbers.Integral, "an integer")
+_NAME = (str, "a string")
+_SWITCH = (bool, "true or false")
+
+# override key -> (type its value must have, that type in words)
+_OVERRIDE_KEYS = {
+    "beta1": _NUMBER,
+    "lambda": _NUMBER,
+    "beta2": _NUMBER,
+    "eta": _NUMBER,
+    "epsilon": _NUMBER,
+    "p1": _INTEGER,
+    "p2": _INTEGER,
+    "step_kind": _NAME,
+    "engine": _NAME,
+    "bias_correction": _SWITCH,
+}
 
 _NOSTALGIC_RE = re.compile(r"nostalgic\((\S+)\)")
 
@@ -98,13 +102,19 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Prese
     """Build a preset configuration by name with base step size ``alpha``.
 
     ``overrides`` may adjust beta1, lambda (momentum decay), beta2, eta,
-    epsilon, p1, p2, step_kind, engine, bias_correction, debug_checks; any
-    other key, or a value the schedules reject, raises InvalidOverride.
+    epsilon, p1, p2, step_kind, engine, bias_correction; any other key, a
+    value of the wrong type, or a value the schedules reject raises
+    InvalidOverride.
     """
     o = dict(overrides or {})
-    unknown = set(o) - _OVERRIDE_KEYS
+    unknown = set(o) - _OVERRIDE_KEYS.keys()
     if unknown:
         raise InvalidOverride(f"unknown override keys: {sorted(unknown)}")
+    for key, value in o.items():
+        kind, words = _OVERRIDE_KEYS[key]
+        # bool is an int subclass: true must not pass as the number 1
+        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            raise InvalidOverride(f"override {key!r} must be {words}, got {value!r}")
 
     base = name
     inline_eta = None
@@ -121,8 +131,8 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Prese
         )
     engine, weight_kind, p1, p2, beta1_default = _TABLE[base]
 
-    step = StepSizeSchedule(alpha, o.get("step_kind", "inv_sqrt"))
     try:
+        step = StepSizeSchedule(alpha, o.get("step_kind", "inv_sqrt"))
         momentum = MomentumSchedule(o.get("beta1", beta1_default), o.get("lambda", 1.0))
         if weight_kind == "equal":
             weight = WeightSchedule.equal()
@@ -142,7 +152,6 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Prese
             epsilon=o.get("epsilon", DEFAULT_EPSILON),
             engine=o.get("engine", engine),
             bias_correction=o.get("bias_correction", False),
-            debug_checks=o.get("debug_checks", False),
         )
     except ValueError as e:
         raise InvalidOverride(str(e)) from None

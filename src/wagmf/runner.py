@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -162,8 +163,7 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
 
     Linear oracles take the array path: their gradient stream is drawn once
     and the engine runs over it in array form (``steps.run_stream``), with
-    the same trace, bit for bit, as the per-round loop.  Configs with
-    ``debug_checks`` keep the per-round loop, where the checks run.
+    the same trace, bit for bit, as the per-round loop.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -172,7 +172,7 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
     fset = setup.feasible
     cfg = preset.config
     x1 = initial_point(setup, seed)
-    if oracle.linear and not cfg.debug_checks:
+    if oracle.linear:
         gs = oracle.gradients(T, rng)
         path, Vs, alphas = run_stream(x1, gs, cfg, fset)
         xs, x_after = path[:T], path[T]
@@ -293,10 +293,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    try:
-        T = int(raw["T"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"T must be an integer, got {raw['T']!r}") from None
+    T = _integer("T", raw["T"])
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
 
@@ -312,23 +309,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         alphas = entry.get("alphas", [0.1])
         if not isinstance(alphas, list) or not alphas:
             raise ConfigError(f"optimizer {entry['name']!r} needs a non-empty alpha grid")
-        try:
-            alphas = [float(a) for a in alphas]
-        except (TypeError, ValueError):
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool) for a in alphas):
             raise ConfigError(
                 f"optimizer {entry['name']!r} has a non-numeric alpha in {alphas!r}"
-            ) from None
-        if any(a <= 0.0 for a in alphas):
-            raise ConfigError(f"optimizer {entry['name']!r} has a non-positive alpha")
+            )
+        alphas = [float(a) for a in alphas]
+        if not all(0.0 < a < math.inf for a in alphas):
+            raise ConfigError(
+                f"optimizer {entry['name']!r} has a non-positive or non-finite alpha"
+            )
         optimizers.append({"name": entry["name"], "alphas": alphas})
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
-    try:
-        seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError):
-        raise ConfigError(f"seeds must be integers, got {raw.get('seeds')!r}") from None
+    seeds = [_integer("seeds", s) for s in seeds]
     if any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct and >= 0")
 
@@ -337,10 +332,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("overrides must be a table")
 
     checkpoints = raw.get("checkpoints", [])
-    try:
-        checkpoints = sorted(int(c) for c in checkpoints)
-    except (TypeError, ValueError):
-        raise ConfigError(f"checkpoints must be integers, got {raw.get('checkpoints')!r}") from None
+    if not isinstance(checkpoints, list):
+        raise ConfigError("checkpoints must be a list")
+    checkpoints = sorted(_integer("checkpoints", c) for c in checkpoints)
     if any(c < 1 or c > T for c in checkpoints):
         raise ConfigError("checkpoints must lie in [1, T]")
 
@@ -350,13 +344,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
         T=T,
         seeds=seeds,
         out=raw.get("out"),
-        bound_eval=bool(raw.get("bound_eval", False)),
-        significance=bool(raw.get("significance", False)),
+        bound_eval=_switch(raw, "bound_eval"),
+        significance=_switch(raw, "significance"),
         overrides=overrides,
         checkpoints=checkpoints,
     )
     validate_config(cfg)
     return cfg
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int.  Integral floats (JSON ``1e5``) pass; bools,
+    fractions and non-numbers are a ConfigError naming ``key``, where
+    ``int()`` would truncate or coerce them."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{key}: {value!r} is not an integer")
+
+
+def _switch(raw: dict, key: str) -> bool:
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def validate_config(cfg: ExperimentConfig) -> ProblemSetup:

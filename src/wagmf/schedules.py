@@ -1,7 +1,6 @@
 """Scalar schedules shared by every optimizer: step sizes alpha_t, momentum
-decay beta1_t, past-gradient weights gamma_t, the balance term b_t, and the
-learning-rate non-increase condition used by the convergence analysis,
-plus ``per_round``, which tabulates any of them over rounds 1..T.
+decay beta1_t and past-gradient weights gamma_t, plus ``per_round``, which
+tabulates any of them over rounds 1..T.
 """
 
 from __future__ import annotations
@@ -152,24 +151,3 @@ def per_round(fn, schedule, T: int) -> np.ndarray:
     step calls, so each entry is bit-identical to the value it uses."""
     return np.fromiter(map(partial(fn, schedule), range(1, T + 1)), np.float64, T)
 
-
-def balance(w: WeightSchedule, t: int, running_sum: float) -> float:
-    """Balance term b_t = 1 / sum_{i<=t} gamma_i, given the running weight sum."""
-    if not (running_sum > 0.0 and math.isfinite(running_sum)):
-        raise ValueError(f"running weight sum must be finite and > 0, got {running_sum}")
-    return 1.0 / running_sum
-
-
-def check_nonincrease(
-    b_prev: float, b_curr: float, alpha_prev: float, alpha_curr: float, p2: int
-) -> bool:
-    """True iff b_curr**(-p2) / alpha_curr >= b_prev**(-p2) / alpha_prev.
-
-    This is the hypothesis under which the per-coordinate effective learning
-    rate cannot increase between consecutive rounds.
-    """
-    if min(b_prev, b_curr, alpha_prev, alpha_curr) <= 0.0:
-        raise ValueError("balance terms and step sizes must be > 0")
-    if p2 < 1:
-        raise ValueError(f"p2 must be a positive integer, got {p2}")
-    return b_curr ** (-p2) / alpha_curr >= b_prev ** (-p2) / alpha_prev

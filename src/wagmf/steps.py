@@ -65,7 +65,6 @@ class OptimizerConfig:
     epsilon: float = 0.0
     engine: str = "wagmf_sum"
     bias_correction: bool = False
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -170,7 +169,6 @@ def _stable_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: 
     v = state.v
     v *= 1.0 - c
     v += c * abs_pow(g, cfg.p1)
-    state.weight_sum += t
     return root(v, cfg.p2)
 
 
@@ -212,9 +210,6 @@ _RULES = {
     "plain_sgd": (None, None),
 }
 
-# the engines whose rule keeps the running weight sum behind b_t
-_WEIGHTED = ("wagmf_sum", "wagmf_stable")
-
 
 def _tail(cfg: OptimizerConfig, g: np.ndarray, m, V, bias1):
     """(V, u) with x_{t+1} = Project(x_t - alpha_t * u): the applied
@@ -240,24 +235,13 @@ def step(
     state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet
 ) -> OptimizerState:
     """One round of ``cfg.engine`` on gradient ``g``.  Mutates and returns
-    ``state``.
-
-    With ``debug_checks`` on a weighted engine it asserts the hypothesis of
-    the regret analysis each round: b_t^(-p2) / alpha_t does not decrease,
-    with b_t = 1 / sum_i gamma_i from the running weight sum.
-    """
+    ``state``."""
     _check_grad(g)
     t = state.t + 1
     m = _momentum(state, g, cfg.momentum, t)
     a_t = schedules.alpha(cfg.step, t)
-    prev_ws = state.weight_sum
     rule = _RULES[cfg.engine][0]
     V = rule(state, g, cfg, t) if rule else None
-    if cfg.debug_checks and t >= 2 and cfg.engine in _WEIGHTED:
-        b_prev = schedules.balance(cfg.weight, t - 1, prev_ws)
-        b_curr = schedules.balance(cfg.weight, t, state.weight_sum)
-        a_prev = schedules.alpha(cfg.step, t - 1)
-        assert schedules.check_nonincrease(b_prev, b_curr, a_prev, a_t, cfg.p2)
     bias1 = _bias(cfg.momentum.beta1, t) if cfg.bias_correction else None
     V, u = _tail(cfg, g, m, V, bias1)
     x = state.x
@@ -326,8 +310,8 @@ def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
     scalar pass per coordinate.  Every value is bit-identical to T calls of
     ``step``.  Measured on a 2-core x86-64 VM, the whole path costs about
     0.5 us per coordinate and round, against 19-28 us per round for the
-    per-round numpy step at any d up to 100, so it wins up to d of about 30.  Every linear oracle here has d = 1, so there is no
-    dimension gate.  ``debug_checks`` is not evaluated.
+    per-round numpy step at any d up to 100, so it wins up to d of about 30.
+    Every linear oracle here has d = 1, so there is no dimension gate.
 
     Returns (path, V, alpha): path (T + 1, d) holds x_1, ..., x_{T+1}, V (T, d)
     the applied preconditioners (epsilon included), alpha (T,) the step sizes.

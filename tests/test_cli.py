@@ -139,17 +139,31 @@ def test_bad_alpha_grid_is_a_config_error(tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["x", None])
-def test_non_numeric_config_alpha_exits_one_without_traceback(tmp_path, alpha):
-    cfg = write_config(tmp_path, optimizers=[{"name": "adagrad", "alphas": [alpha]}])
+def run_module(cfg):
+    """``python -m wagmf.cli run --config cfg`` in a child process."""
     src = str(Path(wagmf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "wagmf.cli", "run", "--config", cfg],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("alpha", ["x", None])
+def test_non_numeric_config_alpha_exits_one_without_traceback(tmp_path, alpha):
+    out = run_module(write_config(tmp_path, optimizers=[{"name": "adagrad", "alphas": [alpha]}]))
     assert out.returncode == 1
     assert out.stderr.startswith("config error: optimizer 'adagrad' has a non-numeric alpha")
+    assert "Traceback" not in out.stderr
+
+
+def test_mistyped_override_exits_one_without_traceback(tmp_path):
+    # a string epsilon used to escape parse_config as a bare TypeError
+    out = run_module(write_config(tmp_path, overrides={"epsilon": "1e-8"}))
+    assert out.returncode == 1
+    assert out.stderr.startswith(
+        "config error: optimizer 'adagrad': override 'epsilon' must be a number"
+    )
     assert "Traceback" not in out.stderr
 
 

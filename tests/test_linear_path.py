@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wagmf import presets, schedules
+from wagmf import presets
 from wagmf.errors import NonFinitePreconditioner
 from wagmf.problems import ReddiOnline, ReddiStochastic, RoundRng
-from wagmf.runner import build_problem, parse_config, run, run_rounds
+from wagmf.runner import build_problem, parse_config, run_rounds
 
 T = 2000
 SEEDS = (5, 31)
@@ -87,19 +87,6 @@ def test_uniforms_serve_the_uniform_cache():
     assert np.array_equal(b.uniforms(n), u)
     assert np.array_equal(RoundRng(4).uniforms(10), u[:10])
     assert all(a.uniform(t) == u[t - 1] for t in range(1, 2001))
-
-
-def test_debug_checks_still_raise_on_linear_oracles(monkeypatch):
-    cfg = {
-        "problem": {"kind": "reddi_online"},
-        "T": 50,
-        "optimizers": [{"name": "wada", "alphas": [0.1]}],
-        "overrides": {"debug_checks": True},
-    }
-    run(parse_config(cfg))  # the checks hold on a valid schedule
-    monkeypatch.setattr(schedules, "check_nonincrease", lambda *args: False)
-    with pytest.raises(AssertionError):
-        run(parse_config(cfg))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

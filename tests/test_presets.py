@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from wagmf.analysis import RunTrace, ratio_violations
 from wagmf.errors import InvalidOverride, UnknownPreset
 from wagmf.feasible import FeasibleSet
 from wagmf.presets import (
+    _OVERRIDE_KEYS,
     DEFAULT_BETA1,
     DEFAULT_BETA2,
     DEFAULT_EPSILON,
@@ -78,6 +80,15 @@ def test_readme_preset_table_matches_presets():
             assert float(beta1) == cfg.momentum.beta1, name
 
 
+def test_readme_override_list_matches_presets():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Overrides (config key"))
+    para = " ".join(lines[start : lines.index("", start)])
+    # the list runs from the colon to the first full stop
+    listed = re.findall(r"`(\w+)`", para.split(":", 1)[1].split(".", 1)[0])
+    assert sorted(listed) == sorted(_OVERRIDE_KEYS)
+
+
 def test_unknown_name_and_bad_overrides():
     with pytest.raises(UnknownPreset):
         make_preset("adamw", 0.1)
@@ -85,6 +96,8 @@ def test_unknown_name_and_bad_overrides():
         make_preset("adam", 0.1, {"beta3": 0.5})
     with pytest.raises(InvalidOverride):
         make_preset("adam", 0.1, {"beta1": 1.5})
+    with pytest.raises(InvalidOverride):
+        make_preset("adam", 0.1, {"step_kind": "bogus"})
 
 
 def test_wiring_of_core_presets():

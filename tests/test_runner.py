@@ -5,6 +5,7 @@ worker counts."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,8 @@ def test_parse_config_normalizes_string_optimizers():
         {"checkpoints": [0]},
         {"checkpoints": [999]},
         {"surprise": True},
+        {"overrides": {"debug_checks": True}},
+        {"optimizers": [{"name": "adagrad", "alphas": [0.1, math.nan]}]},
     ],
 )
 def test_parse_config_rejects(mutation):
@@ -280,6 +283,35 @@ def test_parse_config_rejects(mutation):
     raw = {k: v for k, v in raw.items() if v is not None}
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ({"T": 2.7}, "T: 2.7 is not an integer"),
+        ({"T": True}, "T: True is not an integer"),
+        ({"seeds": [1.9]}, "seeds: 1.9 is not an integer"),
+        ({"checkpoints": [1.5]}, "checkpoints: 1.5 is not an integer"),
+        ({"optimizers": [{"name": "adagrad", "alphas": [True]}]}, "non-numeric alpha"),
+        ({"bound_eval": "false"}, "bound_eval must be true or false"),
+        ({"significance": "false", "seeds": [0, 1]}, "significance must be true or false"),
+        ({"overrides": {"epsilon": "x"}}, "override 'epsilon' must be a number"),
+        ({"overrides": {"beta1": "0.5"}}, "override 'beta1' must be a number"),
+        ({"overrides": {"lambda": True}}, "override 'lambda' must be a number"),
+        ({"overrides": {"p1": True}}, "override 'p1' must be an integer"),
+        ({"overrides": {"bias_correction": "false"}}, "override 'bias_correction' must be true"),
+    ],
+)
+def test_parse_config_rejects_values_it_used_to_coerce(mutation, message):
+    # each of these was truncated, coerced, or escaped as a bare TypeError
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(minimal_raw(**mutation))
+
+
+def test_integral_numbers_parse_as_ints():
+    cfg = parse_config(minimal_raw(T=50.0, seeds=[1.0, 2], checkpoints=[1e1]))
+    assert (cfg.T, cfg.seeds, cfg.checkpoints) == (50, [1, 2], [10])
+    assert all(type(v) is int for v in [cfg.T, *cfg.seeds, *cfg.checkpoints])
 
 
 def test_parse_config_requires_core_keys():

@@ -297,28 +297,3 @@ def test_config_validation():
             p2=0,
         )
 
-
-def test_debug_checks_run_clean_for_sum_and_stable():
-    rng = np.random.default_rng(13)
-    for make in (
-        lambda: OptimizerConfig(
-            weight=WeightSchedule.linear(),
-            step=StepSizeSchedule(0.3, "inv_sqrt"),
-            momentum=MomentumSchedule(0.9),
-            p2=4,
-            engine="wagmf_sum",
-            debug_checks=True,
-        ),
-        lambda: OptimizerConfig(
-            weight=WeightSchedule.linear(),
-            step=StepSizeSchedule(0.3, "inv_sqrt"),
-            momentum=MomentumSchedule(0.9),
-            p2=4,
-            engine="wagmf_stable",
-            debug_checks=True,
-        ),
-    ):
-        cfg = make()
-        st = init_state(np.zeros(2), cfg)
-        for _ in range(200):
-            step(st, rng.standard_normal(2), cfg, FREE)
