@@ -16,8 +16,7 @@ from .analysis import (
     weighted_dd_term,
 )
 from .feasible import FeasibleSet, diameter_inf, project
-from .presets import Preset, make_preset, preset_names
-from .presets import init_state as preset_state
+from .presets import make_preset, preset_names
 from .problems import (
     Dataset,
     LossOracle,

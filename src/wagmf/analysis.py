@@ -26,35 +26,32 @@ class RunTrace:
     """Full per-round record of one optimizer run.
 
     ``x[i]`` is the iterate at which ``g[i]`` and ``loss[i]`` were evaluated
-    in round ``t[i]``; ``V[i]`` is the preconditioner diagonal actually
-    applied that round (epsilon included) and ``alpha[i]`` the step size.
+    in round ``t[i] = i + 1``; ``V[i]`` is the preconditioner diagonal
+    actually applied that round (epsilon included) and ``alpha[i]`` the step
+    size.  T is the length of ``loss``.
     """
 
-    t: np.ndarray
     x: np.ndarray
     g: np.ndarray
     loss: np.ndarray
     alpha: np.ndarray
     V: np.ndarray
-    preset: str = ""
-    problem: str = ""
     seed: int | None = None
+    t: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.int64)
-        if t.ndim != 1 or t.size == 0:
+        T = np.size(self.loss)
+        if T == 0:
             raise ValueError("trace needs at least one round")
-        if t[0] != 1 or (np.diff(t) != 1).any():
-            raise ValueError("round indices must run 1, 2, ..., T")
-        self.t = t
+        self.t = np.arange(1, T + 1, dtype=np.int64)
         for name in ("x", "g", "V"):
             a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.ndim != 2 or a.shape[0] != t.size:
+            if a.ndim != 2 or a.shape[0] != T:
                 raise ValueError(f"{name} must have shape (T, d)")
             setattr(self, name, a)
         for name in ("loss", "alpha"):
             a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.shape != (t.size,):
+            if a.shape != (T,):
                 raise ValueError(f"{name} must have shape (T,)")
             setattr(self, name, a)
 
@@ -69,7 +66,6 @@ class RunTrace:
 
 @dataclass
 class RegretSeries:
-    t: np.ndarray
     cumulative: np.ndarray
     average: np.ndarray
 
@@ -80,7 +76,6 @@ class BoundReport:
     term2: float
     term3: float
     total: float
-    inputs: dict = field(default_factory=dict)
 
 
 def regret(
@@ -117,7 +112,7 @@ def regret(
         for i, t in enumerate(trace.t):
             star_losses[i], _ = oracle.evaluate(int(t), x_star, rng)
     cum = np.cumsum(trace.loss - star_losses)
-    return RegretSeries(trace.t, cum, cum / trace.t)
+    return RegretSeries(cum, cum / trace.t)
 
 
 def reconstruct_momentum(trace: RunTrace, beta1: float, lam: float) -> np.ndarray:
@@ -160,13 +155,7 @@ def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> Bound
     m2_over_v = np.divide(m * m, trace.V, out=np.zeros_like(m), where=trace.V > 0.0)
     term3 = float(np.sum(trace.alpha * m2_over_v.sum(axis=1))) / (1.0 - beta1)
 
-    return BoundReport(
-        term1,
-        term2,
-        term3,
-        term1 + term2 + term3,
-        inputs={"d_inf": d_inf, "beta1": beta1, "lam": lam, "T": T},
-    )
+    return BoundReport(term1, term2, term3, term1 + term2 + term3)
 
 
 def weighted_dd_term(grads: np.ndarray) -> float:
@@ -217,20 +206,7 @@ def corollary1_bound(
     term1 = d2 / (2.0 * (1.0 - beta1)) * w
     term2 = beta1 * d2 * math.sqrt(g_inf) / (2.0 * (1.0 - beta1) * (1.0 - lam) ** 2)
     term3 = alpha * d * g_inf / (1.0 - beta1) ** 2 * w
-    return BoundReport(
-        term1,
-        term2,
-        term3,
-        term1 + term2 + term3,
-        inputs={
-            "d_inf": d_inf,
-            "g_inf": g_inf,
-            "alpha": alpha,
-            "beta1": beta1,
-            "lam": lam,
-            "d": d,
-        },
-    )
+    return BoundReport(term1, term2, term3, term1 + term2 + term3)
 
 
 def lemma3_check(xs: np.ndarray, M: float):

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import numbers
 import re
-from dataclasses import dataclass
 
 from .errors import InvalidOverride, UnknownPreset
 from .schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
-from .steps import ENGINES, OptimizerConfig, OptimizerState
+from .steps import ENGINES, OptimizerConfig
 from . import steps
 
 DEFAULT_BETA1 = 0.9
@@ -88,18 +87,13 @@ _OVERRIDE_KEYS = {
 _NOSTALGIC_RE = re.compile(r"nostalgic\((\S+)\)")
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    config: OptimizerConfig
-
-
 def preset_names() -> list[str]:
     return sorted(_TABLE)
 
 
-def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Preset:
-    """Build a preset configuration by name with base step size ``alpha``.
+def make_preset(name: str, alpha: float, overrides: dict | None = None) -> OptimizerConfig:
+    """The optimizer configuration of preset ``name`` with base step size
+    ``alpha``.
 
     ``overrides`` may adjust beta1, lambda (momentum decay), beta2, eta,
     epsilon, p1, p2, step_kind, engine, bias_correction; any other key, a
@@ -143,7 +137,7 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Prese
         else:
             eta = o.get("eta", inline_eta if inline_eta is not None else 1.0)
             weight = WeightSchedule.hyper_harmonic(eta)
-        config = OptimizerConfig(
+        return OptimizerConfig(
             weight=weight,
             step=step,
             momentum=momentum,
@@ -155,8 +149,3 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Prese
         )
     except ValueError as e:
         raise InvalidOverride(str(e)) from None
-    return Preset(name=name, config=config)
-
-
-def init_state(preset: Preset, x0) -> OptimizerState:
-    return steps.init_state(x0, preset.config)

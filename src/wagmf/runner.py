@@ -35,7 +35,7 @@ from .problems import (
     load_dataset,
 )
 from .schedules import exponential_weight_sum
-from .steps import run_stream
+from .steps import OptimizerConfig, init_state, run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
 _MAX_TRACE_ROWS = 100_000
@@ -77,8 +77,8 @@ def build_problem(cfg: dict) -> ProblemSetup:
             except (KeyError, WagmfError, ValueError) as e:
                 raise ConfigError(f"bad quadratic problem: {e}") from None
         else:
-            dim = int(cfg.get("dim", 5))
-            inst = int(cfg.get("instance_seed", 0))
+            dim = _integer("dim", cfg.get("dim", 5), least=1)
+            inst = _integer("instance_seed", cfg.get("instance_seed", 0), least=0)
             gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([inst, 4])))
             a = 0.5 + 1.5 * gen.random(dim)
             x_star = -0.5 + gen.random(dim)
@@ -90,10 +90,12 @@ def build_problem(cfg: dict) -> ProblemSetup:
         x0 = np.asarray(cfg["x0"], dtype=np.float64) if "x0" in cfg else None
     else:  # softmax
         data = _parse_dataset(cfg.get("data"))
-        reg = float(cfg.get("reg", 0.0))
-        batch = cfg.get("batch_size")
-        objective = SoftmaxObjective(data, reg)
-        oracle = MinibatchOracle(objective, int(batch)) if batch else objective
+        try:
+            oracle = SoftmaxObjective(data, _real("reg", cfg.get("reg", 0.0)))
+            if "batch_size" in cfg:
+                oracle = MinibatchOracle(oracle, _integer("batch_size", cfg["batch_size"]))
+        except ValueError as e:
+            raise ConfigError(f"bad softmax problem: {e}") from None
         fset = _parse_feasible(cfg, default=FeasibleSet.unconstrained())
         x0 = np.asarray(cfg.get("x0", np.zeros(oracle.dim)), dtype=np.float64)
 
@@ -129,12 +131,12 @@ def _parse_dataset(spec) -> Dataset:
         b = spec["blobs"]
         try:
             return gaussian_blobs(
-                int(b["n"]),
-                int(b["d"]),
-                int(b["k"]),
-                int(b.get("seed", 0)),
-                spread=float(b.get("spread", 1.0)),
-                center_scale=float(b.get("center_scale", 1.0)),
+                _integer("n", b["n"], least=1),
+                _integer("d", b["d"], least=1),
+                _integer("k", b["k"], least=1),
+                _integer("seed", b.get("seed", 0), least=0),
+                spread=_real("spread", b.get("spread", 1.0)),
+                center_scale=_real("center_scale", b.get("center_scale", 1.0)),
             )
         except (KeyError, ValueError, WagmfError) as e:
             raise ConfigError(f"bad blobs spec: {e}") from None
@@ -154,8 +156,8 @@ def initial_point(setup: ProblemSetup, seed: int) -> np.ndarray:
     return lo + gen.random(lo.shape[0]) * (hi - lo)
 
 
-def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
-    """Run one (problem, preset, seed) experiment for T rounds.
+def run_rounds(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int = 0):
+    """Run one (problem, optimizer, seed) experiment for T rounds.
 
     Returns (trace, x_after): the full in-memory trace plus the point held
     after the final update (the trace's x column stops at x_T, the iterate
@@ -170,7 +172,6 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
     oracle = setup.oracle
     rng = RoundRng(seed)
     fset = setup.feasible
-    cfg = preset.config
     x1 = initial_point(setup, seed)
     if oracle.linear:
         gs = oracle.gradients(T, rng)
@@ -178,7 +179,7 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
         xs, x_after = path[:T], path[T]
         losses = (gs * xs).sum(axis=1)
     else:
-        state = presets_mod.init_state(preset, x1)
+        state = init_state(x1, cfg)
         d = state.x.shape[0]
         xs = np.empty((T, d))
         gs = np.empty((T, d))
@@ -197,18 +198,7 @@ def run_rounds(setup: ProblemSetup, preset, T: int, seed: int = 0):
             Vs[i] = state.last_V
             alphas[i] = state.last_alpha
         x_after = state.x
-    trace = RunTrace(
-        np.arange(1, T + 1),
-        xs,
-        gs,
-        losses,
-        alphas,
-        Vs,
-        preset=preset.name,
-        problem=setup.name,
-        seed=seed,
-    )
-    return trace, x_after.copy()
+    return RunTrace(xs, gs, losses, alphas, Vs, seed=seed), x_after.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +283,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    T = _integer("T", raw["T"])
-    if T < 1:
-        raise ConfigError(f"T must be >= 1, got {T}")
+    T = _integer("T", raw["T"], least=1)
 
     opts = raw["optimizers"]
     if not isinstance(opts, list) or not opts:
@@ -338,12 +326,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if any(c < 1 or c > T for c in checkpoints):
         raise ConfigError("checkpoints must lie in [1, T]")
 
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a string, got {out!r}")
+
     cfg = ExperimentConfig(
         problem=raw["problem"],
         optimizers=optimizers,
         T=T,
         seeds=seeds,
-        out=raw.get("out"),
+        out=out,
         bound_eval=_switch(raw, "bound_eval"),
         significance=_switch(raw, "significance"),
         overrides=overrides,
@@ -353,15 +345,26 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as an int.  Integral floats (JSON ``1e5``) pass; bools,
-    fractions and non-numbers are a ConfigError naming ``key``, where
-    ``int()`` would truncate or coerce them."""
+def _integer(key: str, value, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``.  Integral floats (JSON
+    ``1e5``) pass; bools, fractions, non-numbers and values below ``least``
+    are a ConfigError naming ``key``, where ``int()`` would truncate or
+    coerce them."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{key}: {value!r} is not an integer")
+        value = int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{key}: {value!r} is not an integer")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a float; bools, strings, NaN and infinities are a
+    ConfigError naming ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{key}: {value!r} is not a finite number")
 
 
 def _switch(raw: dict, key: str) -> bool:
@@ -376,7 +379,7 @@ def validate_config(cfg: ExperimentConfig) -> ProblemSetup:
     setup = build_problem(cfg.problem)
     for entry in cfg.optimizers:
         try:
-            opt = presets_mod.make_preset(entry["name"], entry["alphas"][0], cfg.overrides).config
+            opt = presets_mod.make_preset(entry["name"], entry["alphas"][0], cfg.overrides)
             if opt.engine == "wagmf_sum" and opt.weight.kind == "exponential":
                 # only growing weights overflow, and their running sum first
                 exponential_weight_sum(opt.weight, cfg.T)
@@ -405,12 +408,9 @@ def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
     """
     if setup is None:
         setup = build_problem(payload["problem"])
-    preset = presets_mod.make_preset(
-        payload["name"], payload["alpha"], payload["overrides"]
-    )
-    T = payload["T"]
+    cfg = presets_mod.make_preset(payload["name"], payload["alpha"], payload["overrides"])
     seed = payload["seed"]
-    trace, x_after = run_rounds(setup, preset, T, seed)
+    trace, x_after = run_rounds(setup, cfg, payload["T"], seed)
 
     result = {
         "optimizer": payload["name"],
@@ -440,7 +440,7 @@ def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
     result["selection_metric"] = float(selection)
 
     if payload["bound_eval"]:
-        result["bounds"] = _evaluate_bounds(trace, setup, preset)
+        result["bounds"] = _evaluate_bounds(trace, setup, cfg)
 
     out = payload["out"]
     if out:
@@ -458,11 +458,10 @@ def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
     return result
 
 
-def _evaluate_bounds(trace: RunTrace, setup: ProblemSetup, preset) -> dict:
+def _evaluate_bounds(trace: RunTrace, setup: ProblemSetup, cfg: OptimizerConfig) -> dict:
     """Bound evaluation for the sum/stable engines (the family the analysis
     covers); the closed-form bound additionally needs linear weights, the
     fourth root, and strict momentum decay."""
-    cfg = preset.config
     if cfg.engine not in ("wagmf_sum", "wagmf_stable"):
         return {"skipped": f"engine {cfg.engine} is outside the analyzed family"}
     d_inf = diameter_inf(setup.feasible)

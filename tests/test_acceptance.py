@@ -26,6 +26,7 @@ from wagmf.analysis import (
 from wagmf.feasible import FeasibleSet, project
 from wagmf.problems import SoftmaxObjective, gaussian_blobs
 from wagmf.runner import parse_config, run
+from wagmf.steps import init_state
 
 
 def report(capsys, num, ok, detail):
@@ -39,24 +40,21 @@ def report(capsys, num, ok, detail):
 def run_stream(preset_name, G, alpha=0.5, overrides=None):
     """Drive one preset over an explicit gradient stream (linear losses) and
     return the full trace."""
-    preset = presets.make_preset(preset_name, alpha, overrides)
+    cfg = presets.make_preset(preset_name, alpha, overrides)
     T, d = G.shape
-    state = presets.init_state(preset, np.zeros(d))
+    state = init_state(np.zeros(d), cfg)
     fset = FeasibleSet.unconstrained()
-    step = presets.STEP_FN[preset.config.engine]
+    step = presets.STEP_FN[cfg.engine]
     xs = np.empty((T, d))
     Vs = np.empty((T, d))
     alphas = np.empty(T)
     for t in range(1, T + 1):
         xs[t - 1] = state.x
-        step(state, G[t - 1], preset.config, fset)
+        step(state, G[t - 1], cfg, fset)
         Vs[t - 1] = state.last_V
         alphas[t - 1] = state.last_alpha
     losses = (G * xs).sum(axis=1)
-    return RunTrace(
-        np.arange(1, T + 1), xs, G, losses, alphas, Vs,
-        preset=preset_name, problem="stream", seed=0,
-    )
+    return RunTrace(xs, G, losses, alphas, Vs, seed=0)
 
 
 def best_run(summary, name):
@@ -163,16 +161,16 @@ def test_criterion_03_average_and_sum_forms_agree(capsys):
     G = gen.uniform(-100.0, 100.0, size=(T, streams * d))
     stable = presets.make_preset("wada", 0.5)
     summed = presets.make_preset("wada", 0.5, {"engine": "wagmf_sum"})
-    sa = presets.init_state(stable, np.zeros(streams * d))
-    sb = presets.init_state(summed, np.zeros(streams * d))
+    sa = init_state(np.zeros(streams * d), stable)
+    sb = init_state(np.zeros(streams * d), summed)
     fset = FeasibleSet.unconstrained()
-    step_a = presets.STEP_FN[stable.config.engine]
-    step_b = presets.STEP_FN[summed.config.engine]
+    step_a = presets.STEP_FN[stable.engine]
+    step_b = presets.STEP_FN[summed.engine]
     t0 = time.monotonic()
     worst = 0.0
     for t in range(T):
-        step_a(sa, G[t], stable.config, fset)
-        step_b(sb, G[t], summed.config, fset)
+        step_a(sa, G[t], stable, fset)
+        step_b(sb, G[t], summed, fset)
         div = np.max(np.abs(sa.x - sb.x) / np.maximum(1.0, np.abs(sb.x)))
         worst = max(worst, float(div))
     elapsed = time.monotonic() - t0

@@ -23,8 +23,8 @@ from wagmf.errors import (
     UnboundedSet,
 )
 from wagmf.feasible import FeasibleSet
-from wagmf.presets import init_state, make_preset
-from wagmf.steps import step
+from wagmf.presets import make_preset
+from wagmf.steps import init_state, step
 from wagmf.schedules import MomentumSchedule, beta1_at
 from wagmf.problems import (
     MinibatchOracle,
@@ -38,9 +38,7 @@ from wagmf.problems import (
 
 
 def fixed_trace(xs, gs, losses, alphas, Vs, **kw):
-    T = len(gs)
     return RunTrace(
-        t=np.arange(1, T + 1),
         x=np.asarray(xs, dtype=float),
         g=np.asarray(gs, dtype=float),
         loss=np.asarray(losses, dtype=float),
@@ -52,9 +50,9 @@ def fixed_trace(xs, gs, losses, alphas, Vs, **kw):
 
 def run_preset(preset_name, alpha, oracle, T, seed, box=1.0, overrides=None):
     """Tiny driver mirroring the runner: returns the trace for analysis."""
-    p = make_preset(preset_name, alpha, overrides)
+    cfg = make_preset(preset_name, alpha, overrides)
     fs = FeasibleSet.box([-box] * oracle.dim, [box] * oracle.dim)
-    st = init_state(p, np.zeros(oracle.dim))
+    st = init_state(np.zeros(oracle.dim), cfg)
     rng = RoundRng(seed)
     xs = np.empty((T, oracle.dim))
     gs = np.empty((T, oracle.dim))
@@ -66,13 +64,10 @@ def run_preset(preset_name, alpha, oracle, T, seed, box=1.0, overrides=None):
         loss, g = oracle.evaluate(t, st.x, rng)
         ls[t - 1] = loss
         gs[t - 1] = g
-        step(st, g, p.config, fs)
+        step(st, g, cfg, fs)
         Vs[t - 1] = st.last_V
         als[t - 1] = st.last_alpha
-    return RunTrace(
-        t=np.arange(1, T + 1), x=xs, g=gs, loss=ls, alpha=als, V=Vs,
-        preset=preset_name, problem="test", seed=seed,
-    )
+    return RunTrace(x=xs, g=gs, loss=ls, alpha=als, V=Vs, seed=seed)
 
 
 # ---------------------------------------------------------------- traces
@@ -81,19 +76,9 @@ def run_preset(preset_name, alpha, oracle, T, seed, box=1.0, overrides=None):
 def test_trace_validation():
     ok = fixed_trace([[0.0]], [[1.0]], [0.0], [0.1], [[1.0]])
     assert ok.T == 1 and ok.dim == 1
-    with pytest.raises(ValueError):
-        # round indices must run 1..T
-        RunTrace(
-            t=np.array([1, 3]),
-            x=np.zeros((2, 1)),
-            g=np.zeros((2, 1)),
-            loss=np.zeros(2),
-            alpha=np.ones(2),
-            V=np.ones((2, 1)),
-        )
+    assert np.array_equal(ok.t, [1])
     with pytest.raises(ValueError):
         RunTrace(
-            t=np.array([1, 2]),
             x=np.zeros((2, 1)),
             g=np.zeros((3, 1)),
             loss=np.zeros(2),
@@ -147,10 +132,7 @@ def test_regret_stochastic_replay_and_missing_seed():
     ds = gaussian_blobs(n=12, d=2, k=2, seed=1)
     mb = MinibatchOracle(SoftmaxObjective(ds, reg=0.0), batch_size=4)
     tr2 = run_preset("adagrad", 0.1, mb, 6, seed=3, box=10.0)
-    tr2_noseed = RunTrace(
-        t=tr2.t, x=tr2.x, g=tr2.g, loss=tr2.loss, alpha=tr2.alpha, V=tr2.V,
-        preset=tr2.preset, problem=tr2.problem, seed=None,
-    )
+    tr2_noseed = RunTrace(x=tr2.x, g=tr2.g, loss=tr2.loss, alpha=tr2.alpha, V=tr2.V)
     with pytest.raises(MissingBranchRecord):
         regret(tr2_noseed, mb, np.zeros(mb.dim))
     # with the seed the replay sees the same batches the run saw
@@ -196,8 +178,8 @@ def test_thm1_bound_dominates_regret_on_sum_family_runs():
     orc = ReddiOnline()
     for name in ("wada", "adagrad", "adamnc"):
         tr = run_preset(name, 0.5, orc, 400, seed=2)
-        p = make_preset(name, 0.5)
-        rep = thm1_bound(tr, 2.0, p.config.momentum.beta1, p.config.momentum.lam)
+        mom = make_preset(name, 0.5).momentum
+        rep = thm1_bound(tr, 2.0, mom.beta1, mom.lam)
         assert rep.term1 >= 0 and rep.term2 >= 0 and rep.term3 >= 0
         assert rep.total == pytest.approx(rep.term1 + rep.term2 + rep.term3)
         rs = regret(tr, orc, orc.known_optimum)

@@ -167,6 +167,26 @@ def test_mistyped_override_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"problem": {"kind": "softmax", "data": {"blobs": {"n": 8, "d": 2, "k": 2}},
+                         "batch_size": -1}},
+            "config error: bad softmax problem: batch_size must be >= 1, got -1",
+        ),
+        ({"out": 5}, "config error: out must be a string, got 5"),
+    ],
+    ids=["batch_size", "out"],
+)
+def test_bad_problem_or_out_exits_one_without_traceback(tmp_path, entry, message):
+    # both used to escape as a bare ValueError or TypeError
+    out = run_module(write_config(tmp_path, **entry))
+    assert out.returncode == 1
+    assert out.stderr.startswith(message)
+    assert "Traceback" not in out.stderr
+
+
 def test_significance_flag_prints_pairs(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -13,20 +13,20 @@ from wagmf.presets import (
     DEFAULT_BETA2,
     DEFAULT_EPSILON,
     preset_names,
-    init_state,
     make_preset,
 )
-from wagmf.steps import step
+from wagmf.steps import init_state, step
 
 FREE = FeasibleSet.unconstrained()
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def drive(preset, grads, x0=None):
+def drive(cfg, grads, x0=None):
     """Run a gradient sequence and return the list of iterates x_2..x_{T+1}."""
-    st = init_state(preset, x0 if x0 is not None else np.zeros(np.atleast_1d(grads[0]).shape))
+    st = init_state(x0 if x0 is not None else np.zeros(np.atleast_1d(grads[0]).shape), cfg)
     out = []
     for g in grads:
-        step(st, np.atleast_1d(np.asarray(g, dtype=float)), preset.config, FREE)
+        step(st, np.atleast_1d(np.asarray(g, dtype=float)), cfg, FREE)
         out.append(st.x.copy())
     return out, st
 
@@ -52,7 +52,7 @@ def test_catalog_contents():
 
 def readme_preset_rows() -> dict[str, list[str]]:
     """The README preset table: preset name -> [weights, p1, p2, beta1 default]."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    lines = README.read_text().splitlines()
     start = lines.index("## Presets")
     rows = {}
     for line in lines[start:]:
@@ -68,7 +68,7 @@ def test_readme_preset_table_matches_presets():
     rows = readme_preset_rows()
     assert sorted(rows) == preset_names()
     for name, (_, p1, p2, beta1) in rows.items():
-        cfg = make_preset(name, 1.0).config
+        cfg = make_preset(name, 1.0)
         if cfg.engine in ("plain_sgd", "sign"):
             # these engines build no preconditioner, so p1 and p2 do not apply
             assert (p1, p2) == ("—", "—"), name
@@ -81,12 +81,23 @@ def test_readme_preset_table_matches_presets():
 
 
 def test_readme_override_list_matches_presets():
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    lines = README.read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("Overrides (config key"))
     para = " ".join(lines[start : lines.index("", start)])
     # the list runs from the colon to the first full stop
     listed = re.findall(r"`(\w+)`", para.split(":", 1)[1].split(".", 1)[0])
     assert sorted(listed) == sorted(_OVERRIDE_KEYS)
+
+
+def test_readme_python_blocks_run():
+    # in order and in one namespace, as a reader pastes them
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert sorted(namespace["summary"]["best"]) == ["adagrad", "wada"]
+    assert namespace["state"].t == 1
 
 
 def test_unknown_name_and_bad_overrides():
@@ -102,39 +113,39 @@ def test_unknown_name_and_bad_overrides():
 
 def test_wiring_of_core_presets():
     adam = make_preset("adam", 0.1)
-    assert adam.config.engine == "ema"
-    assert adam.config.momentum.beta1 == DEFAULT_BETA1
-    assert adam.config.weight.beta2 == DEFAULT_BETA2
-    assert adam.config.epsilon == DEFAULT_EPSILON
-    assert adam.config.step.kind == "inv_sqrt"
+    assert adam.engine == "ema"
+    assert adam.momentum.beta1 == DEFAULT_BETA1
+    assert adam.weight.beta2 == DEFAULT_BETA2
+    assert adam.epsilon == DEFAULT_EPSILON
+    assert adam.step.kind == "inv_sqrt"
 
     ada = make_preset("adagrad", 0.1)
-    assert ada.config.engine == "wagmf_sum"
-    assert ada.config.weight.kind == "equal"
-    assert ada.config.momentum.beta1 == 0.0
-    assert ada.config.p1 == 2 and ada.config.p2 == 2
+    assert ada.engine == "wagmf_sum"
+    assert ada.weight.kind == "equal"
+    assert ada.momentum.beta1 == 0.0
+    assert ada.p1 == 2 and ada.p2 == 2
 
     wada = make_preset("wada", 0.1)
-    assert wada.config.engine == "wagmf_stable"
-    assert wada.config.weight.kind == "linear"
-    assert wada.config.p1 == 2 and wada.config.p2 == 4
+    assert wada.engine == "wagmf_stable"
+    assert wada.weight.kind == "linear"
+    assert wada.p1 == 2 and wada.p2 == 4
 
     sgd = make_preset("sgd", 0.1)
-    assert sgd.config.engine == "plain_sgd"
+    assert sgd.engine == "plain_sgd"
     sign = make_preset("sign_sgd", 0.1)
-    assert sign.config.engine == "sign"
+    assert sign.engine == "sign"
     ams = make_preset("amsgrad", 0.1)
-    assert ams.config.engine == "amsgrad"
+    assert ams.engine == "amsgrad"
     anc = make_preset("adamnc", 0.1)
-    assert anc.config.engine == "wagmf_sum"
-    assert anc.config.weight.kind == "equal"
-    assert anc.config.momentum.beta1 == DEFAULT_BETA1
+    assert anc.engine == "wagmf_sum"
+    assert anc.weight.kind == "equal"
+    assert anc.momentum.beta1 == DEFAULT_BETA1
 
 
 def test_rmsprop_avg_is_equal_weight_adagrad_config():
     a = make_preset("adagrad", 0.2)
     b = make_preset("rmsprop_avg", 0.2)
-    assert a.config == b.config
+    assert a == b
     rng = np.random.default_rng(3)
     gs = [rng.standard_normal(3) for _ in range(50)]
     xa, _ = drive(a, gs, np.zeros(3))
@@ -144,31 +155,31 @@ def test_rmsprop_avg_is_equal_weight_adagrad_config():
 
 def test_overrides_flow_through():
     p = make_preset("adam", 0.1, {"beta1": 0.5, "beta2": 0.9, "epsilon": 1e-3})
-    assert p.config.momentum.beta1 == 0.5
-    assert p.config.weight.beta2 == 0.9
-    assert p.config.epsilon == 1e-3
+    assert p.momentum.beta1 == 0.5
+    assert p.weight.beta2 == 0.9
+    assert p.epsilon == 1e-3
     q = make_preset("wada", 0.1, {"engine": "wagmf_sum"})
-    assert q.config.engine == "wagmf_sum"
+    assert q.engine == "wagmf_sum"
     r = make_preset("adam", 0.1, {"bias_correction": True})
-    assert r.config.bias_correction is True
+    assert r.bias_correction is True
     s = make_preset("sgd", 0.1, {"step_kind": "constant"})
-    assert s.config.step.kind == "constant"
+    assert s.step.kind == "constant"
 
 
 def test_nostalgic_eta_parsing():
     p = make_preset("nostalgic(0.5)", 0.1)
-    assert p.config.weight.kind == "hyper_harmonic"
-    assert p.config.weight.eta == 0.5
-    assert p.config.momentum.beta1 == DEFAULT_BETA1
+    assert p.weight.kind == "hyper_harmonic"
+    assert p.weight.eta == 0.5
+    assert p.momentum.beta1 == DEFAULT_BETA1
     q = make_preset("nostalgic", 0.1)
-    assert q.config.weight.eta == 1.0
+    assert q.weight.eta == 1.0
     with pytest.raises(InvalidOverride):
         make_preset("nostalgic(-1)", 0.1)  # parses, but the exponent is rejected
     with pytest.raises(UnknownPreset):
         make_preset("nostalgic(abc)", 0.1)
     # explicit override wins over the inline value
     r = make_preset("nostalgic(0.5)", 0.1, {"eta": 2.0})
-    assert r.config.weight.eta == 2.0
+    assert r.weight.eta == 2.0
 
 
 def test_wada_variants_agree_on_binary_gradients():
@@ -193,40 +204,37 @@ def test_wada_variants_differ_on_general_gradients():
 
 def test_amsgrad_preconditioner_never_shrinks():
     rng = np.random.default_rng(42)
-    p = make_preset("amsgrad", 0.1)
-    st = init_state(p, np.zeros(2))
+    cfg = make_preset("amsgrad", 0.1)
+    st = init_state(np.zeros(2), cfg)
     prev = None
     for t in range(1, 100_001):
         # heavy-tailed-ish stream: rare large spikes
         g = rng.standard_normal(2) * (100.0 if rng.uniform() < 0.005 else 1.0)
-        step(st, g, p.config, FREE)
+        step(st, g, cfg, FREE)
         if prev is not None:
             assert np.all(st.last_V >= prev - 1e-15)
         prev = st.last_V.copy()
 
 
 def make_trace(preset_name, alpha, gs):
-    p = make_preset(preset_name, alpha)
+    cfg = make_preset(preset_name, alpha)
     d = np.atleast_1d(gs[0]).size
-    st = init_state(p, np.zeros(d))
+    st = init_state(np.zeros(d), cfg)
     T = len(gs)
     xs = np.empty((T, d))
     Vs = np.empty((T, d))
     als = np.empty(T)
     for i, g in enumerate(gs):
         xs[i] = st.x
-        step(st, np.atleast_1d(np.asarray(g, dtype=float)), p.config, FREE)
+        step(st, np.atleast_1d(np.asarray(g, dtype=float)), cfg, FREE)
         Vs[i] = st.last_V
         als[i] = st.last_alpha
     return RunTrace(
-        t=np.arange(1, T + 1),
         x=xs,
         g=np.array([np.atleast_1d(np.asarray(g, float)) for g in gs]),
         loss=np.zeros(T),
         alpha=als,
         V=Vs,
-        preset=preset_name,
-        problem="synthetic",
         seed=0,
     )
 

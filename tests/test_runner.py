@@ -113,6 +113,52 @@ def test_build_problem_rejects_bad_configs():
         )
 
 
+SOFTMAX = {"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2}}}
+
+
+def blobs(**kw):
+    return {"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2, **kw}}}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"kind": "quadratic", "dim": 2.7}, "dim: 2.7 is not an integer"),
+        ({"kind": "quadratic", "dim": True}, "dim: True is not an integer"),
+        ({"kind": "quadratic", "dim": 0}, "dim must be >= 1, got 0"),
+        ({"kind": "quadratic", "instance_seed": -1}, "instance_seed must be >= 0, got -1"),
+        ({"kind": "quadratic", "instance_seed": "3"}, "instance_seed: '3' is not an integer"),
+        (blobs(n=20.9), "bad blobs spec: n: 20.9 is not an integer"),
+        (blobs(d=True), "bad blobs spec: d: True is not an integer"),
+        (blobs(k=0), "bad blobs spec: k must be >= 1, got 0"),
+        (blobs(seed=-1), "bad blobs spec: seed must be >= 0, got -1"),
+        (blobs(spread="2"), "bad blobs spec: spread: '2' is not a finite number"),
+        (blobs(center_scale=True), "bad blobs spec: center_scale: True is not a finite number"),
+        ({**SOFTMAX, "batch_size": True}, "batch_size: True is not an integer"),
+        ({**SOFTMAX, "batch_size": "4"}, "batch_size: '4' is not an integer"),
+        ({**SOFTMAX, "batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({**SOFTMAX, "batch_size": -1}, "batch_size must be >= 1, got -1"),
+        ({**SOFTMAX, "reg": "0.1"}, "reg: '0.1' is not a finite number"),
+        ({**SOFTMAX, "reg": math.nan}, "reg: nan is not a finite number"),
+        ({**SOFTMAX, "reg": -1}, "reg must be >= 0, got -1"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_problem_tables_reject_values_they_used_to_coerce(table, message):
+    # each of these was truncated, coerced, run full-batch, or escaped as a
+    # bare ValueError
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_problem(table)
+
+
+def test_integral_problem_values_build_the_same_problem():
+    a = build_problem({"kind": "quadratic", "dim": 3.0, "instance_seed": 2.0})
+    b = build_problem({"kind": "quadratic", "dim": 3, "instance_seed": 2})
+    assert np.array_equal(a.oracle.a, b.oracle.a)
+    mb = build_problem({**SOFTMAX, "batch_size": 4.0, "reg": 0})
+    assert mb.oracle.batch_size == 4 and mb.oracle.objective.reg == 0.0
+
+
 # ---------------------------------------------------------------------------
 # initial points and the round loop
 
@@ -191,14 +237,11 @@ def test_trace_row_indices_subsamples_large_horizon():
 def make_trace(T=10, d=2, seed=0):
     gen = np.random.default_rng(seed)
     return RunTrace(
-        np.arange(1, T + 1),
         gen.standard_normal((T, d)),
         gen.standard_normal((T, d)),
         gen.random(T),
         1.0 / np.sqrt(np.arange(1, T + 1)),
         np.ones((T, d)),
-        preset="p",
-        problem="q",
         seed=seed,
     )
 
@@ -300,6 +343,7 @@ def test_parse_config_rejects(mutation):
         ({"overrides": {"lambda": True}}, "override 'lambda' must be a number"),
         ({"overrides": {"p1": True}}, "override 'p1' must be an integer"),
         ({"overrides": {"bias_correction": "false"}}, "override 'bias_correction' must be true"),
+        ({"out": 5}, "out must be a string, got 5"),
     ],
 )
 def test_parse_config_rejects_values_it_used_to_coerce(mutation, message):
