@@ -13,7 +13,8 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,16 @@ class ProblemSetup:
     oracle: LossOracle
     feasible: FeasibleSet
     x0: np.ndarray | None  # None: draw uniformly from the box per run seed
-    x_star: np.ndarray | None
+
+
+_COMMON_KEYS = ("kind", "name", "feasible", "x0")
+# problem kind -> the keys its table may hold
+_PROBLEM_KEYS = {
+    "reddi_stochastic": _COMMON_KEYS,
+    "reddi_online": _COMMON_KEYS,
+    "quadratic": (*_COMMON_KEYS, "a_diag", "x_star", "dim", "instance_seed"),
+    "softmax": (*_COMMON_KEYS, "data", "reg", "batch_size"),
+}
 
 
 def build_problem(cfg: dict) -> ProblemSetup:
@@ -62,18 +72,22 @@ def build_problem(cfg: dict) -> ProblemSetup:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("problem config must be a table with a 'kind' entry")
     kind = cfg["kind"]
-    known = {"reddi_stochastic", "reddi_online", "quadratic", "softmax"}
-    if kind not in known:
-        raise ConfigError(f"unknown problem kind {kind!r}; known: {sorted(known)}")
+    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem kind {kind!r}; known: {sorted(_PROBLEM_KEYS)}")
+    _table(f"{kind} problem", cfg, _PROBLEM_KEYS[kind])
+    name = cfg.get("name", kind)
+    if not isinstance(name, str):
+        raise ConfigError(f"problem name must be a string, got {name!r}")
 
     if kind in ("reddi_stochastic", "reddi_online"):
         oracle = ReddiStochastic() if kind == "reddi_stochastic" else ReddiOnline()
         fset = _parse_feasible(cfg, default=FeasibleSet.box([-1.0], [1.0]))
-        x0 = np.asarray(cfg.get("x0", [0.0]), dtype=np.float64)
+        x0 = _vector("x0", cfg.get("x0", [0.0]))
     elif kind == "quadratic":
         if "a_diag" in cfg or "x_star" in cfg:
             try:
-                oracle = Quadratic(cfg["a_diag"], cfg["x_star"])
+                a_diag, x_star = _vector("a_diag", cfg["a_diag"]), _vector("x_star", cfg["x_star"])
+                oracle = Quadratic(a_diag, x_star)
             except (KeyError, WagmfError, ValueError) as e:
                 raise ConfigError(f"bad quadratic problem: {e}") from None
         else:
@@ -87,7 +101,7 @@ def build_problem(cfg: dict) -> ProblemSetup:
         fset = _parse_feasible(
             cfg, default=FeasibleSet.box(np.full(d, -1.0), np.full(d, 1.0))
         )
-        x0 = np.asarray(cfg["x0"], dtype=np.float64) if "x0" in cfg else None
+        x0 = _vector("x0", cfg["x0"]) if "x0" in cfg else None
     else:  # softmax
         data = _parse_dataset(cfg.get("data"))
         try:
@@ -97,19 +111,15 @@ def build_problem(cfg: dict) -> ProblemSetup:
         except ValueError as e:
             raise ConfigError(f"bad softmax problem: {e}") from None
         fset = _parse_feasible(cfg, default=FeasibleSet.unconstrained())
-        x0 = np.asarray(cfg.get("x0", np.zeros(oracle.dim)), dtype=np.float64)
+        x0 = _vector("x0", cfg["x0"]) if "x0" in cfg else np.zeros(oracle.dim)
 
     if x0 is not None and x0.shape != (oracle.dim,):
         raise ConfigError(f"x0 has shape {x0.shape}, problem dimension is {oracle.dim}")
+    if fset.is_box and fset.lo.shape != (oracle.dim,):
+        raise ConfigError(f"box has shape {fset.lo.shape}, problem dimension is {oracle.dim}")
     if x0 is None and not fset.is_box:
         raise ConfigError("per-seed random x0 needs a bounded feasible box")
-    return ProblemSetup(
-        name=cfg.get("name", kind),
-        oracle=oracle,
-        feasible=fset,
-        x0=x0,
-        x_star=oracle.known_optimum,
-    )
+    return ProblemSetup(name=name, oracle=oracle, feasible=fset, x0=x0)
 
 
 def _parse_feasible(cfg: dict, default: FeasibleSet) -> FeasibleSet:
@@ -119,17 +129,17 @@ def _parse_feasible(cfg: dict, default: FeasibleSet) -> FeasibleSet:
     if spec == "unconstrained":
         return FeasibleSet.unconstrained()
     try:
-        return FeasibleSet.box(spec["lo"], spec["hi"])
-    except (KeyError, TypeError, WagmfError, ValueError) as e:
+        _table("feasible", spec, ("lo", "hi"))
+        return FeasibleSet.box(_vector("lo", spec["lo"]), _vector("hi", spec["hi"]))
+    except (KeyError, WagmfError, ValueError) as e:
         raise ConfigError(f"bad feasible set: {e}") from None
 
 
 def _parse_dataset(spec) -> Dataset:
-    if not isinstance(spec, dict):
-        raise ConfigError("softmax problem needs a 'data' table")
+    _table("data", spec, ("blobs", "path", "format"))
     if "blobs" in spec:
-        b = spec["blobs"]
         try:
+            b = _table("blobs", spec["blobs"], ("n", "d", "k", "seed", "spread", "center_scale"))
             return gaussian_blobs(
                 _integer("n", b["n"], least=1),
                 _integer("d", b["d"], least=1),
@@ -141,9 +151,11 @@ def _parse_dataset(spec) -> Dataset:
         except (KeyError, ValueError, WagmfError) as e:
             raise ConfigError(f"bad blobs spec: {e}") from None
     if "path" in spec:
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"dataset path must be a string, got {spec['path']!r}")
         try:
             return load_dataset(spec["path"], spec.get("format", "csv"))
-        except (OSError, WagmfError) as e:
+        except (OSError, ValueError, WagmfError) as e:
             raise ConfigError(f"cannot load dataset: {e}") from None
     raise ConfigError("dataset spec needs either 'blobs' or 'path'")
 
@@ -264,24 +276,10 @@ class ExperimentConfig:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config tree; every problem is reported as ConfigError."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a table")
+    _table("config", raw, [f.name for f in fields(ExperimentConfig)])
     for key in ("problem", "optimizers", "T"):
         if key not in raw:
             raise ConfigError(f"config is missing {key!r}")
-    unknown = set(raw) - {
-        "problem",
-        "optimizers",
-        "T",
-        "seeds",
-        "out",
-        "bound_eval",
-        "significance",
-        "overrides",
-        "checkpoints",
-    }
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     T = _integer("T", raw["T"], least=1)
 
@@ -292,8 +290,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for entry in opts:
         if isinstance(entry, str):
             entry = {"name": entry}
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(f"bad optimizer entry {entry!r}")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ConfigError(f"bad optimizer entry {entry!r}: needs a string 'name'")
+        _table(f"optimizer {entry['name']!r}", entry, ("name", "alphas"))
         alphas = entry.get("alphas", [0.1])
         if not isinstance(alphas, list) or not alphas:
             raise ConfigError(f"optimizer {entry['name']!r} needs a non-empty alpha grid")
@@ -367,6 +366,25 @@ def _real(key: str, value) -> float:
     raise ConfigError(f"{key}: {value!r} is not a finite number")
 
 
+def _vector(key: str, value) -> np.ndarray:
+    """``value`` as a float64 vector; anything but a non-empty list of finite
+    numbers is a ConfigError naming ``key``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list of finite numbers, got {value!r}")
+    return np.array([_real(key, v) for v in value])
+
+
+def _table(where: str, value, allowed) -> dict:
+    """``value`` as a table; a non-table or a key outside ``allowed`` is a
+    ConfigError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a table, got {value!r}")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return value
+
+
 def _switch(raw: dict, key: str) -> bool:
     value = raw.get(key, False)
     if not isinstance(value, bool):
@@ -400,21 +418,24 @@ def _safe_name(name: str) -> str:
     return name.replace("(", "_").replace(")", "").replace(",", "_")
 
 
-def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
-    """Run one (optimizer, alpha, seed) cell; used directly and via the pool.
+def _execute_job(
+    config: ExperimentConfig, cell: tuple[str, float, int], setup: ProblemSetup | None = None
+) -> dict:
+    """Run one (optimizer, alpha, seed) cell of the grid; used directly and
+    via the pool.
 
     Serial callers pass the problem they already built; pool workers build
-    their own from ``payload["problem"]``.
+    their own from ``config.problem``.
     """
+    name, alpha, seed = cell
     if setup is None:
-        setup = build_problem(payload["problem"])
-    cfg = presets_mod.make_preset(payload["name"], payload["alpha"], payload["overrides"])
-    seed = payload["seed"]
-    trace, x_after = run_rounds(setup, cfg, payload["T"], seed)
+        setup = build_problem(config.problem)
+    cfg = presets_mod.make_preset(name, alpha, config.overrides)
+    trace, x_after = run_rounds(setup, cfg, config.T, seed)
 
     result = {
-        "optimizer": payload["name"],
-        "alpha": payload["alpha"],
+        "optimizer": name,
+        "alpha": alpha,
         "seed": seed,
         "final_loss": float(trace.loss[-1]),
         "final_x_norm": float(np.sqrt((trace.x[-1] ** 2).sum())),
@@ -423,14 +444,11 @@ def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
         result["final_x"] = trace.x[-1].tolist()
 
     avg_series = None
-    if setup.x_star is not None:
-        series = regret(trace, setup.oracle, setup.x_star)
-        avg_series = series.average
+    if setup.oracle.known_optimum is not None:
+        avg_series = regret(trace, setup.oracle, setup.oracle.known_optimum).average
         result["final_avg_regret"] = float(avg_series[-1])
-        if payload["checkpoints"]:
-            result["avg_regret_at"] = {
-                str(c): float(avg_series[c - 1]) for c in payload["checkpoints"]
-            }
+        if config.checkpoints:
+            result["avg_regret_at"] = {str(c): float(avg_series[c - 1]) for c in config.checkpoints}
         selection = result["final_avg_regret"]
     elif isinstance(setup.oracle, MinibatchOracle):
         result["final_full_loss"] = float(setup.oracle.full_loss(x_after))
@@ -439,15 +457,12 @@ def _execute_job(payload: dict, setup: ProblemSetup | None = None) -> dict:
         selection = result["final_loss"]
     result["selection_metric"] = float(selection)
 
-    if payload["bound_eval"]:
+    if config.bound_eval:
         result["bounds"] = _evaluate_bounds(trace, setup, cfg)
 
-    out = payload["out"]
+    out = config.out
     if out:
-        stem = (
-            f"{_safe_name(setup.name)}__{_safe_name(payload['name'])}"
-            f"__a{payload['alpha']:g}__s{seed}"
-        )
+        stem = f"{_safe_name(setup.name)}__{_safe_name(name)}__a{alpha:g}__s{seed}"
         csv_path = Path(out) / f"{stem}.csv"
         write_trace_csv(trace, csv_path, avg_series)
         result["trace_csv"] = str(csv_path)
@@ -467,27 +482,11 @@ def _evaluate_bounds(trace: RunTrace, setup: ProblemSetup, cfg: OptimizerConfig)
     d_inf = diameter_inf(setup.feasible)
     beta1 = cfg.momentum.beta1
     lam = cfg.momentum.lam
-    report = thm1_bound(trace, d_inf, beta1, lam)
-    out = {
-        "thm1": {
-            "term1": report.term1,
-            "term2": report.term2,
-            "term3": report.term3,
-            "total": report.total,
-        }
-    }
+    out = {"thm1": asdict(thm1_bound(trace, d_inf, beta1, lam))}
     if cfg.weight.kind == "linear" and cfg.p2 == 4 and lam < 1.0:
         g_inf = float(np.abs(trace.g).max())
-        cor = corollary1_bound(
-            trace.g, d_inf, g_inf, cfg.step.base_alpha, beta1, lam
-        )
-        out["corollary1"] = {
-            "term1": cor.term1,
-            "term2": cor.term2,
-            "term3": cor.term3,
-            "total": cor.total,
-            "g_inf": g_inf,
-        }
+        cor = corollary1_bound(trace.g, d_inf, g_inf, cfg.step.base_alpha, beta1, lam)
+        out["corollary1"] = {**asdict(cor), "g_inf": g_inf}
     return out
 
 
@@ -516,30 +515,18 @@ def run(config: ExperimentConfig) -> dict:
     if config.out:
         Path(config.out).mkdir(parents=True, exist_ok=True)
 
-    payloads = []
-    for entry in config.optimizers:
-        for a in entry["alphas"]:
-            for s in config.seeds:
-                payloads.append(
-                    {
-                        "problem": config.problem,
-                        "name": entry["name"],
-                        "alpha": a,
-                        "seed": s,
-                        "T": config.T,
-                        "overrides": config.overrides,
-                        "bound_eval": config.bound_eval,
-                        "checkpoints": config.checkpoints,
-                        "out": config.out,
-                    }
-                )
-
+    cells = [
+        (entry["name"], a, s)
+        for entry in config.optimizers
+        for a in entry["alphas"]
+        for s in config.seeds
+    ]
     workers = _worker_count()
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_job, payloads))
+            results = list(pool.map(partial(_execute_job, config), cells))
     else:
-        results = [_execute_job(p, setup) for p in payloads]
+        results = [_execute_job(config, cell, setup) for cell in cells]
 
     best = select_best(results)
     summary = {

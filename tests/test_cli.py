@@ -176,11 +176,15 @@ def test_mistyped_override_exits_one_without_traceback(tmp_path):
             "config error: bad softmax problem: batch_size must be >= 1, got -1",
         ),
         ({"out": 5}, "config error: out must be a string, got 5"),
+        (
+            {"problem": {**QUAD, "name": 5}, "out": "results"},
+            "config error: problem name must be a string, got 5",
+        ),
     ],
-    ids=["batch_size", "out"],
+    ids=["batch_size", "out", "problem_name"],
 )
 def test_bad_problem_or_out_exits_one_without_traceback(tmp_path, entry, message):
-    # both used to escape as a bare ValueError or TypeError
+    # each used to escape as a bare ValueError, TypeError or AttributeError
     out = run_module(write_config(tmp_path, **entry))
     assert out.returncode == 1
     assert out.stderr.startswith(message)

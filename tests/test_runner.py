@@ -59,13 +59,13 @@ def test_build_problem_reddi_defaults():
     assert np.array_equal(setup.feasible.lo, [-1.0])
     assert np.array_equal(setup.feasible.hi, [1.0])
     assert np.array_equal(setup.x0, [0.0])
-    assert np.array_equal(setup.x_star, [-1.0])
+    assert np.array_equal(setup.oracle.known_optimum, [-1.0])
 
 
 def test_build_problem_quadratic_explicit():
     setup = build_problem(dict(QUAD))
     assert isinstance(setup.oracle, Quadratic)
-    assert np.array_equal(setup.x_star, [0.25, -0.5])
+    assert np.array_equal(setup.oracle.known_optimum, [0.25, -0.5])
     assert setup.name == "quadratic"
     named = build_problem({**QUAD, "name": "toy"})
     assert named.name == "toy"
@@ -76,7 +76,7 @@ def test_build_problem_quadratic_random_instance_is_deterministic():
     b = build_problem({"kind": "quadratic", "dim": 4, "instance_seed": 7})
     c = build_problem({"kind": "quadratic", "dim": 4, "instance_seed": 8})
     assert np.array_equal(a.oracle.a, b.oracle.a)
-    assert np.array_equal(a.x_star, b.x_star)
+    assert np.array_equal(a.oracle.known_optimum, b.oracle.known_optimum)
     assert not np.array_equal(a.oracle.a, c.oracle.a)
     # curvatures stay in the generator's documented range
     assert np.all(a.oracle.a >= 0.5) and np.all(a.oracle.a <= 2.0)
@@ -91,7 +91,7 @@ def test_build_problem_softmax_blobs():
         }
     )
     assert setup.oracle.dim == (3 + 1) * 2
-    assert setup.x_star is None
+    assert setup.oracle.known_optimum is None
     assert not setup.feasible.is_box
 
 
@@ -114,6 +114,7 @@ def test_build_problem_rejects_bad_configs():
 
 
 SOFTMAX = {"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2}}}
+ONLINE = {"kind": "reddi_online"}
 
 
 def blobs(**kw):
@@ -141,12 +142,62 @@ def blobs(**kw):
         ({**SOFTMAX, "reg": "0.1"}, "reg: '0.1' is not a finite number"),
         ({**SOFTMAX, "reg": math.nan}, "reg: nan is not a finite number"),
         ({**SOFTMAX, "reg": -1}, "reg must be >= 0, got -1"),
+        ({**ONLINE, "x0": ["0.5"]}, "x0: '0.5' is not a finite number"),
+        ({**ONLINE, "x0": [True]}, "x0: True is not a finite number"),
+        ({**ONLINE, "x0": [math.nan]}, "x0: nan is not a finite number"),
+        ({**ONLINE, "x0": []}, "x0 must be a non-empty list of finite numbers, got []"),
+        ({**QUAD, "x0": [0.0, "0"]}, "x0: '0' is not a finite number"),
+        ({**SOFTMAX, "x0": [True] * 6}, "x0: True is not a finite number"),
+        (
+            {**ONLINE, "feasible": {"lo": ["-1"], "hi": [True]}},
+            "bad feasible set: lo: '-1' is not a finite number",
+        ),
+        (
+            {**ONLINE, "feasible": {"lo": [-1.0], "hi": [True]}},
+            "bad feasible set: hi: True is not a finite number",
+        ),
+        (
+            {"kind": "quadratic", "a_diag": ["1"], "x_star": [True]},
+            "bad quadratic problem: a_diag: '1' is not a finite number",
+        ),
+        (
+            {"kind": "quadratic", "a_diag": [1.0], "x_star": [True]},
+            "bad quadratic problem: x_star: True is not a finite number",
+        ),
+        ({**ONLINE, "name": 5}, "problem name must be a string, got 5"),
+        ({"kind": ["softmax"]}, "unknown problem kind ['softmax']"),
+        (
+            {"kind": "softmax", "data": {"path": "x.csv", "format": "parquet"}},
+            "cannot load dataset: unknown dataset format 'parquet'",
+        ),
+        ({"kind": "softmax", "data": {"path": 5}}, "dataset path must be a string, got 5"),
+        ({"kind": "softmax", "data": {"blobs": 5}}, "bad blobs spec: blobs must be a table, got 5"),
+        ({"kind": "quadratic", "dimm": 3}, "unknown quadratic problem keys: ['dimm']"),
+        ({**SOFTMAX, "batchsize": 4}, "unknown softmax problem keys: ['batchsize']"),
+        ({**ONLINE, "dim": 3}, "unknown reddi_online problem keys: ['dim']"),
+        (blobs(sead=3), "bad blobs spec: unknown blobs keys: ['sead']"),
+        (
+            {"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2}, "shuffle": True}},
+            "unknown data keys: ['shuffle']",
+        ),
+        (
+            {**ONLINE, "feasible": {"lo": [-1.0], "hi": [1.0], "mid": [0.0]}},
+            "bad feasible set: unknown feasible keys: ['mid']",
+        ),
+        (
+            {**ONLINE, "feasible": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+            "box has shape (2,), problem dimension is 1",
+        ),
+        (
+            {"kind": "quadratic", "dim": 3, "feasible": {"lo": [-1.0], "hi": [1.0]}},
+            "box has shape (1,), problem dimension is 3",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_problem_tables_reject_values_they_used_to_coerce(table, message):
-    # each of these was truncated, coerced, run full-batch, or escaped as a
-    # bare ValueError
+    # each of these was truncated, coerced, run full-batch, silently
+    # ignored, or escaped as a bare ValueError, TypeError or AttributeError
     with pytest.raises(ConfigError, match=re.escape(message)):
         build_problem(table)
 
@@ -344,10 +395,16 @@ def test_parse_config_rejects(mutation):
         ({"overrides": {"p1": True}}, "override 'p1' must be an integer"),
         ({"overrides": {"bias_correction": "false"}}, "override 'bias_correction' must be true"),
         ({"out": 5}, "out must be a string, got 5"),
+        ({"optimizers": [{"name": 5}]}, "bad optimizer entry {'name': 5}: needs a string 'name'"),
+        (
+            {"optimizers": [{"name": "adam", "alpha": [0.3]}]},
+            "unknown optimizer 'adam' keys: ['alpha']",
+        ),
     ],
 )
 def test_parse_config_rejects_values_it_used_to_coerce(mutation, message):
-    # each of these was truncated, coerced, or escaped as a bare TypeError
+    # each of these was truncated, coerced, silently ignored, or escaped as a
+    # bare TypeError
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(minimal_raw(**mutation))
 
@@ -544,6 +601,8 @@ def test_bound_eval_reports_terms_or_skips(tmp_path):
     )
     # wada with decayed momentum also gets the closed-form bound
     assert wada_bounds["corollary1"]["total"] > 0.0
+    assert set(wada_bounds["thm1"]) == {"term1", "term2", "term3", "total"}
+    assert set(wada_bounds["corollary1"]) == {"term1", "term2", "term3", "total", "g_inf"}
     assert "skipped" in by_name["adam"]["bounds"]
 
 
@@ -606,16 +665,33 @@ def test_worker_count_parsing(monkeypatch):
 
 
 def test_run_is_identical_across_worker_counts(monkeypatch, tmp_path):
+    # pool workers read out, bound_eval and checkpoints from the config they
+    # are handed; wada with lambda < 1 also runs corollary 1
+    out = tmp_path / "out"
     raw = minimal_raw(
         optimizers=[{"name": "adagrad", "alphas": [0.1, 0.5]}, {"name": "wada", "alphas": [0.5]}],
         seeds=[0, 1],
         T=30,
+        out=str(out),
+        bound_eval=True,
+        checkpoints=[10, 30],
+        overrides={"lambda": 0.99},
     )
+
+    def files():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
     monkeypatch.delenv("WAGMF_THREADS", raising=False)
     serial = run(parse_config(raw))
+    serial_files = files()
     monkeypatch.setenv("WAGMF_THREADS", "2")
     pooled = run(parse_config(raw))
     assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+    assert files() == serial_files
+    assert len(serial_files) == 1 + 2 * 6  # summary.json plus a CSV and a JSONL per cell
+    runs = serial["runs"]
+    assert all("avg_regret_at" in r and "thm1" in r["bounds"] for r in runs)
+    assert sum("corollary1" in r["bounds"] for r in runs) == 2
 
 
 def test_cells_sharing_a_minibatch_oracle_match_fresh_ones():
