@@ -117,14 +117,18 @@ def regret(
 
 def reconstruct_momentum(trace: RunTrace, beta1: float, lam: float) -> np.ndarray:
     """Momentum vectors m_t implied by the recorded gradients and the schedule
-    beta1_t = beta1 * lam**(t-1), starting from m_0 = 0."""
-    mom = MomentumSchedule(beta1, lam)
+    beta1_t = beta1 * lam**(t-1), starting from m_0 = 0.
+
+    Row t starts as (1 - beta1_t) g_t, built for all rounds at once, and
+    adds beta1_t m_{t-1} in place: the step's two products and one sum, so
+    every m_t is bit-identical to the live state's.
+    """
+    b1 = per_round(beta1_at, MomentumSchedule(beta1, lam), trace.T)
+    out = (1.0 - b1)[:, None] * trace.g
     m = np.zeros(trace.dim)
-    out = np.empty_like(trace.g)
-    for i, t in enumerate(trace.t):
-        b1t = beta1_at(mom, int(t))
-        m = b1t * m + (1.0 - b1t) * trace.g[i]
-        out[i] = m
+    for b1t, row in zip(b1.tolist(), out):
+        row += m * b1t
+        m = row
     return out
 
 

@@ -79,6 +79,9 @@ class LossOracle:
     linear          round-t loss is g_t . x with g_t independent of x
     time_invariant  the same deterministic loss every round
     known_optimum   fixed comparator x* when one is known, else None
+    block           ``evaluate`` also takes a (C, dim) stack of points, one
+                    row per run, and returns C losses and a (C, dim)
+                    gradient, each row bit-identical to that row's own call
 
     Linear oracles also provide ``gradients(T, rng)``: the whole stream
     g_1, ..., g_T as a (T, dim) array, row t-1 equal to the gradient
@@ -89,6 +92,7 @@ class LossOracle:
     stochastic = False
     linear = False
     time_invariant = False
+    block = False
     known_optimum: np.ndarray | None = None
 
     def evaluate(self, t: int, x: np.ndarray, rng: RoundRng | None = None):
@@ -148,9 +152,15 @@ class ReddiOnline(LossOracle):
 
 
 class Quadratic(LossOracle):
-    """f(x) = 0.5 * sum_i a_i (x_i - x*_i)^2 with a_i > 0, identical every round."""
+    """f(x) = 0.5 * sum_i a_i (x_i - x*_i)^2 with a_i > 0, identical every round.
+
+    A block oracle: ``x`` may be one point (d,) or a stack of points (C, d).
+    ``vecdot`` runs the same dot loop per row as a 1-d ``g @ diff``, so a
+    stacked row's loss is bit-identical to its own call's.
+    """
 
     time_invariant = True
+    block = True
 
     def __init__(self, a_diag, x_star):
         a = as_vector(a_diag)
@@ -166,7 +176,7 @@ class Quadratic(LossOracle):
     def evaluate(self, t, x, rng=None):
         diff = x - self.known_optimum
         g = self.a * diff
-        return 0.5 * float(g @ diff), g
+        return 0.5 * np.vecdot(g, diff), g
 
 
 # ---------------------------------------------------------------------------

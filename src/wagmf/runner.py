@@ -42,6 +42,8 @@ TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
 _MAX_TRACE_ROWS = 100_000
 _SIDECAR_MAX_DIM = 16
 _ALPHA_SIG = 0.05
+# float64 elements (8 MB) in each dense (seeds, T, d) trace array of a seed block
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -168,12 +170,18 @@ def initial_point(setup: ProblemSetup, seed: int) -> np.ndarray:
     return lo + gen.random(lo.shape[0]) * (hi - lo)
 
 
-def run_rounds(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int = 0):
+def run_rounds(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int | tuple[int, ...] = 0):
     """Run one (problem, optimizer, seed) experiment for T rounds.
 
     Returns (trace, x_after): the full in-memory trace plus the point held
     after the final update (the trace's x column stops at x_T, the iterate
     the last loss was charged at).
+
+    Given a tuple of seeds, returns one (trace, x_after) pair per seed, each
+    bit-identical to that seed's own call.  On a block oracle the seeds run
+    as one optimizer state (``_round_loop``); if that raises a WagmfError
+    they rerun one at a time, so the error that escapes is the first failing
+    seed's.  Other oracles run the seeds one after another.
 
     Linear oracles take the array path: their gradient stream is drawn once
     and the engine runs over it in array form (``steps.run_stream``), with
@@ -181,36 +189,74 @@ def run_rounds(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int = 0)
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if not isinstance(seed, tuple):
+        return _run_seed(setup, cfg, T, seed)
+    if setup.oracle.block and len(seed) > 1:
+        try:
+            return _round_loop(setup, cfg, T, seed)
+        except WagmfError:
+            pass
+    return [_run_seed(setup, cfg, T, s) for s in seed]
+
+
+def _run_seed(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int):
+    """One seed: the array path on a linear oracle, else the per-round loop."""
     oracle = setup.oracle
-    rng = RoundRng(seed)
+    if not oracle.linear:
+        return _round_loop(setup, cfg, T, (seed,))[0]
+    gs = oracle.gradients(T, RoundRng(seed))
+    path, Vs, alphas = run_stream(initial_point(setup, seed), gs, cfg, setup.feasible)
+    xs = path[:T]
+    losses = (gs * xs).sum(axis=1)
+    return RunTrace(xs, gs, losses, alphas, Vs, seed=seed), path[T].copy()
+
+
+def _round_loop(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seeds: tuple[int, ...]):
+    """The per-round loop over C seeds as one optimizer state of width C*d,
+    seed k in coordinates k*d ... k*d + d - 1, for one seed or a block
+    oracle.  Every operation of ``steps.step`` is per coordinate, and its
+    scalars (alpha_t, beta1_t, the weight sum) are the same for every seed,
+    so each seed's values are bit-identical to its own run's.
+
+    Returns one (trace, x_after) pair per seed.  Seed k's trace arrays are
+    the contiguous slices [k] of (C, T, ...) arrays.
+    """
+    oracle = setup.oracle
+    C = len(seeds)
+    state = init_state(np.concatenate([initial_point(setup, s) for s in seeds]), cfg)
+    d = state.x.shape[0] // C
     fset = setup.feasible
-    x1 = initial_point(setup, seed)
-    if oracle.linear:
-        gs = oracle.gradients(T, rng)
-        path, Vs, alphas = run_stream(x1, gs, cfg, fset)
-        xs, x_after = path[:T], path[T]
-        losses = (gs * xs).sum(axis=1)
-    else:
-        state = init_state(x1, cfg)
-        d = state.x.shape[0]
-        xs = np.empty((T, d))
-        gs = np.empty((T, d))
-        Vs = np.empty((T, d))
-        losses = np.empty(T)
-        alphas = np.empty(T)
-        step_fn = presets_mod.STEP_FN[cfg.engine]
-        evaluate = oracle.evaluate
-        for t in range(1, T + 1):
-            i = t - 1
-            loss, g = evaluate(t, state.x, rng)
-            xs[i] = state.x
-            gs[i] = g
-            losses[i] = loss
-            step_fn(state, g, cfg, fset)
-            Vs[i] = state.last_V
-            alphas[i] = state.last_alpha
-        x_after = state.x
-    return RunTrace(xs, gs, losses, alphas, Vs, seed=seed), x_after.copy()
+    if C > 1 and fset.is_box:
+        fset = FeasibleSet.box(np.tile(fset.lo, C), np.tile(fset.hi, C))
+    rng = RoundRng(seeds[0]) if C == 1 else None  # block oracles draw nothing
+    xs = np.empty((C, T, d))
+    gs = np.empty((C, T, d))
+    Vs = np.empty((C, T, d))
+    losses = np.empty((C, T))
+    alphas = np.empty(T)
+    # x is what evaluate takes, and *_rows are the arrays indexed round first
+    if C == 1:
+        x = state.x
+        x_rows, g_rows, V_rows, loss_rows = xs[0], gs[0], Vs[0], losses[0]
+    else:  # views: steps update state.x in place
+        x = state.x.reshape(C, d)
+        x_rows, g_rows, V_rows, loss_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs, losses))
+    step_fn = presets_mod.STEP_FN[cfg.engine]
+    evaluate = oracle.evaluate
+    for t in range(1, T + 1):
+        i = t - 1
+        loss, g = evaluate(t, x, rng)
+        x_rows[i] = x
+        g_rows[i] = g
+        loss_rows[i] = loss
+        step_fn(state, g.reshape(-1), cfg, fset)
+        V_rows[i] = state.last_V.reshape(x.shape)
+        alphas[i] = state.last_alpha
+    x_after = state.x.reshape(C, d)
+    return [
+        (RunTrace(xs[k], gs[k], losses[k], alphas.copy(), Vs[k], seed=s), x_after[k].copy())
+        for k, s in enumerate(seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +465,36 @@ def _safe_name(name: str) -> str:
 
 
 def _execute_job(
-    config: ExperimentConfig, cell: tuple[str, float, int], setup: ProblemSetup | None = None
-) -> dict:
-    """Run one (optimizer, alpha, seed) cell of the grid; used directly and
-    via the pool.
+    config: ExperimentConfig, job: tuple[str, float, tuple[int, ...]], setup: ProblemSetup | None = None
+) -> list[dict]:
+    """Run one (optimizer, alpha, seeds) block of the grid and return one
+    result per seed; used directly and via the pool.
 
     Serial callers pass the problem they already built; pool workers build
     their own from ``config.problem``.
     """
-    name, alpha, seed = cell
+    name, alpha, seeds = job
     if setup is None:
         setup = build_problem(config.problem)
     cfg = presets_mod.make_preset(name, alpha, config.overrides)
-    trace, x_after = run_rounds(setup, cfg, config.T, seed)
+    if len(seeds) == 1:
+        runs = [run_rounds(setup, cfg, config.T, seeds[0])]
+    else:
+        runs = run_rounds(setup, cfg, config.T, seeds)
+    return [_cell_result(config, setup, cfg, (name, alpha, seed), *run) for seed, run in zip(seeds, runs)]
 
+
+def _cell_result(
+    config: ExperimentConfig,
+    setup: ProblemSetup,
+    cfg: OptimizerConfig,
+    cell: tuple[str, float, int],
+    trace: RunTrace,
+    x_after: np.ndarray,
+) -> dict:
+    """The result of one (optimizer, alpha, seed) cell from its run, with its
+    trace files written when ``config.out`` is set."""
+    name, alpha, seed = cell
     result = {
         "optimizer": name,
         "alpha": alpha,
@@ -503,11 +565,38 @@ def _worker_count() -> int:
     return n
 
 
+def _seed_blocks(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tuple]:
+    """The grid as (optimizer, alpha, seeds) jobs in grid order.
+
+    On a block oracle each (optimizer, alpha) cell's seeds split into the
+    fewest contiguous chunks whose dense trace arrays stay within
+    ``_BLOCK_ELEMENTS``, and into more where a pool of ``workers`` would
+    otherwise get fewer jobs than workers.  Other oracles run one seed per
+    job.  A seed's results do not depend on its chunk.
+    """
+    cells = [(entry["name"], a) for entry in config.optimizers for a in entry["alphas"]]
+    seeds = config.seeds
+    n = len(seeds)
+    if oracle.block:
+        per_chunk = max(1, _BLOCK_ELEMENTS // (config.T * oracle.dim))
+        chunks = math.ceil(n / per_chunk)
+        if workers > 1:
+            chunks = min(n, max(chunks, math.ceil(workers / len(cells))))
+    else:
+        chunks = n
+    return [
+        (name, a, tuple(seeds[k * n // chunks : (k + 1) * n // chunks]))
+        for name, a in cells
+        for k in range(chunks)
+    ]
+
+
 def run(config: ExperimentConfig) -> dict:
     """Execute the full experiment grid and return the summary tree.
 
     When ``config.out`` is set, per-run traces and ``summary.json`` are
-    written there.  Output is identical for any worker count.  Serial cells
+    written there.  The grid runs as jobs of seed blocks (``_seed_blocks``),
+    and output is identical for any worker count and chunking.  Serial jobs
     share the problem that validation built (oracles hold no per-run state
     beyond caches keyed by the run's seed); pool workers build their own.
     """
@@ -515,18 +604,14 @@ def run(config: ExperimentConfig) -> dict:
     if config.out:
         Path(config.out).mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (entry["name"], a, s)
-        for entry in config.optimizers
-        for a in entry["alphas"]
-        for s in config.seeds
-    ]
     workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
+    jobs = _seed_blocks(config, setup.oracle, workers)
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(_execute_job, config), cells))
+            blocks = list(pool.map(partial(_execute_job, config), jobs))
     else:
-        results = [_execute_job(config, cell, setup) for cell in cells]
+        blocks = [_execute_job(config, job, setup) for job in jobs]
+    results = [r for block in blocks for r in block]
 
     best = select_best(results)
     summary = {

@@ -161,6 +161,21 @@ def test_reconstruct_momentum_matches_live_state():
     assert np.allclose(m, np.array(mm), rtol=1e-14)
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.99])
+def test_reconstruct_momentum_is_the_steps_momentum_bit_for_bit(lam):
+    orc = Quadratic([1.0, 2.0, 0.5], [0.3, -0.2, 0.1])
+    cfg = make_preset("wada", 0.5, {"lambda": lam})
+    st = init_state(np.zeros(3), cfg)
+    fs = FeasibleSet.box([-1.0] * 3, [1.0] * 3)
+    gs, ms = np.empty((300, 3)), np.empty((300, 3))
+    for t in range(1, 301):
+        _, gs[t - 1] = orc.evaluate(t, st.x)
+        step(st, gs[t - 1], cfg, fs)
+        ms[t - 1] = st.m
+    tr = fixed_trace(np.zeros((300, 3)), gs, np.zeros(300), np.ones(300), np.ones((300, 3)))
+    assert np.array_equal(reconstruct_momentum(tr, 0.9, lam), ms)
+
+
 def test_reconstruct_momentum_with_decay():
     tr = fixed_trace([[0.0]] * 3, [[1.0], [1.0], [1.0]], [0.0] * 3, [0.1] * 3, [[1.0]] * 3)
     m = reconstruct_momentum(tr, 0.9, 0.5)
