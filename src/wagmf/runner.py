@@ -39,11 +39,14 @@ from .schedules import exponential_weight_sum
 from .steps import OptimizerConfig, init_state, run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _MAX_TRACE_ROWS = 100_000
 _SIDECAR_MAX_DIM = 16
 _ALPHA_SIG = 0.05
 # float64 elements (8 MB) in each dense (seeds, T, d) trace array of a seed block
 _BLOCK_ELEMENTS = 1 << 20
+# trace rows formatted per write; a d = 16 JSONL slice holds about 3 MB
+_WRITE_ROWS = 1024
 
 
 @dataclass
@@ -263,10 +266,6 @@ def _round_loop(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seeds: tuple[
 # trace serialization
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def trace_row_indices(T: int) -> np.ndarray:
     """Row subsample for serialization: every ceil(T / 100000)-th round plus
     the final one."""
@@ -277,30 +276,35 @@ def trace_row_indices(T: int) -> np.ndarray:
     return idx
 
 
+def _row_slices(T: int):
+    """The serialized rows' indices in slices of at most ``_WRITE_ROWS``, so
+    a writer holds one slice's Python floats and text at a time."""
+    idx = trace_row_indices(T)
+    return (idx[lo : lo + _WRITE_ROWS] for lo in range(0, idx.size, _WRITE_ROWS))
+
+
 def write_trace_csv(trace: RunTrace, path, avg_regret: np.ndarray | None = None) -> None:
-    idx = trace_row_indices(trace.T)
-    x_norm = np.sqrt((trace.x[idx] ** 2).sum(axis=1))
-    g_norm = np.sqrt((trace.g[idx] ** 2).sum(axis=1))
-    avg = avg_regret[idx] if avg_regret is not None else np.full(idx.size, math.nan)
+    """One ``TRACE_HEADER`` row per serialized round, values as ``%.17g``."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(TRACE_HEADER + "\n")
-        for row, i in enumerate(idx):
-            f.write(
-                f"{trace.t[i]},{_fmt(trace.loss[i])},{_fmt(avg[row])},"
-                f"{_fmt(x_norm[row])},{_fmt(g_norm[row])},{_fmt(trace.alpha[i])}\n"
-            )
+        for rows in _row_slices(trace.T):
+            x_norm = np.sqrt((trace.x[rows] ** 2).sum(axis=1))
+            g_norm = np.sqrt((trace.g[rows] ** 2).sum(axis=1))
+            avg = avg_regret[rows] if avg_regret is not None else np.full(rows.size, math.nan)
+            cols = (trace.t[rows], trace.loss[rows], avg, x_norm, g_norm, trace.alpha[rows])
+            f.write("".join(_CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
 
 
 def write_trace_jsonl(trace: RunTrace, path) -> None:
-    idx = trace_row_indices(trace.T)
+    """One ``{"t", "x", "g"}`` object per serialized round, in json's float text."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i in idx:
-            f.write(
-                json.dumps(
-                    {"t": int(trace.t[i]), "x": trace.x[i].tolist(), "g": trace.g[i].tolist()}
-                )
-                + "\n"
+        for rows in _row_slices(trace.T):
+            text = "".join(
+                f'{{"t": {t}, "x": {x}, "g": {g}}}\n'
+                for t, x, g in zip(*(a[rows].tolist() for a in (trace.t, trace.x, trace.g)))
             )
+            # str() of a float list is json's text, except for non-finite values
+            f.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +337,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(opts, list) or not opts:
         raise ConfigError("config needs a non-empty optimizer list")
     optimizers = []
+    labels: dict[tuple[str, str], float] = {}  # (name, alpha label) -> alpha
     for entry in opts:
         if isinstance(entry, str):
             entry = {"name": entry}
@@ -351,6 +356,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"optimizer {entry['name']!r} has a non-positive or non-finite alpha"
             )
+        # a cell's trace files and its best.grid key are named by f"{alpha:g}"
+        for a in alphas:
+            key = (entry["name"], f"{a:g}")
+            if key in labels:
+                raise ConfigError(
+                    f"optimizer {key[0]!r} has alphas {labels[key]!r} and {a!r}, which share "
+                    f"the label {key[1]!r}; each grid cell needs its own"
+                )
+            labels[key] = a
         optimizers.append({"name": entry["name"], "alphas": alphas})
 
     seeds = raw.get("seeds", [0])

@@ -8,12 +8,19 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import wagmf
+from wagmf import runner
 from wagmf.analysis import RunTrace
 from wagmf.errors import ConfigError, InsufficientSeeds, NonFinitePreconditioner
 from wagmf.problems import Quadratic
@@ -330,6 +337,116 @@ def test_write_trace_jsonl_rows(tmp_path):
     assert rows[2]["g"] == trace.g[2].tolist()
 
 
+def reference_csv(trace, avg_regret):
+    """The CSV text, value by value."""
+    idx = trace_row_indices(trace.T)
+    x_norm = np.sqrt((trace.x[idx] ** 2).sum(axis=1))
+    g_norm = np.sqrt((trace.g[idx] ** 2).sum(axis=1))
+    avg = avg_regret[idx] if avg_regret is not None else np.full(idx.size, math.nan)
+    lines = [TRACE_HEADER + "\n"]
+    for row, i in enumerate(idx):
+        lines.append(
+            f"{trace.t[i]},{trace.loss[i]:.17g},{avg[row]:.17g},"
+            f"{x_norm[row]:.17g},{g_norm[row]:.17g},{trace.alpha[i]:.17g}\n"
+        )
+    return "".join(lines)
+
+
+def reference_jsonl(trace):
+    """The JSONL text, one json.dumps per row."""
+    return "".join(
+        json.dumps({"t": int(trace.t[i]), "x": trace.x[i].tolist(), "g": trace.g[i].tolist()})
+        + "\n"
+        for i in trace_row_indices(trace.T)
+    )
+
+
+def assert_writers_match_reference(trace, avg_regret, write_rows):
+    csv, jsonl = reference_csv(trace, avg_regret).encode(), reference_jsonl(trace).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows in write_rows:
+            with mock.patch.object(runner, "_WRITE_ROWS", rows):
+                write_trace_csv(trace, Path(tmp) / "t.csv", avg_regret)
+                write_trace_jsonl(trace, Path(tmp) / "t.jsonl")
+            assert (Path(tmp) / "t.csv").read_bytes() == csv
+            assert (Path(tmp) / "t.jsonl").read_bytes() == jsonl
+
+
+# non-finite values, signed zero, subnormals, and where repr and .17g switch
+# to exponent form
+EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308,
+    1e-5, 9.999999999999999e-05, 1e-4, 1e16, 9999999999999998.0, 1e17, -1e17,
+]
+trace_values = st.one_of(st.floats(), st.sampled_from(EDGE_VALUES))
+
+
+@st.composite
+def traces(draw):
+    T = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 16))
+    x, g = (draw(arrays(np.float64, (T, d), elements=trace_values)) for _ in range(2))
+    loss, alpha = (draw(arrays(np.float64, T, elements=trace_values)) for _ in range(2))
+    avg = draw(st.none() | arrays(np.float64, T, elements=trace_values))
+    return RunTrace(x, g, loss, alpha, np.ones((T, d))), avg
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@settings(max_examples=60, deadline=None)
+@given(traces())
+def test_trace_writers_match_the_value_by_value_text(case):
+    trace, avg = case
+    assert_writers_match_reference(trace, avg, (1, 7, trace.T))
+
+
+def test_trace_writers_match_the_value_by_value_text_past_the_row_cap():
+    # stride 2 over T = 100002 rounds, plus the final round appended
+    trace = make_trace(T=runner._MAX_TRACE_ROWS + 2, d=3)
+    trace.x[4, 1], trace.g[-1, 0], trace.loss[-1] = math.nan, -math.inf, 1e16
+    assert trace_row_indices(trace.T)[-2:].tolist() == [100_000, 100_001]
+    assert_writers_match_reference(trace, np.linspace(2.0, 1e-5, trace.T), (runner._WRITE_ROWS,))
+
+
+def test_jsonl_writer_memory_stays_bounded(tmp_path):
+    # 83335 rows of 32 floats: their Python floats and text are tens of MB
+    T, d = 250_001, 16
+    gen = np.random.default_rng(0)
+    x, g = gen.standard_normal((T, d)), gen.standard_normal((T, d))
+    trace = RunTrace(x, g, gen.random(T), np.ones(T), np.broadcast_to(1.0, (T, d)))
+    tracemalloc.start()
+    try:
+        write_trace_jsonl(trace, tmp_path / "t.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_cells_write_traces_through_the_module_functions(monkeypatch, tmp_path):
+    # the benchmark's tracer times trace I/O by patching these two names
+    calls = []
+
+    def counted(name):
+        real = getattr(runner, name)
+
+        def write(trace, path, *args):
+            calls.append((name, Path(path).name))
+            real(trace, path, *args)
+
+        return write
+
+    for name in ("write_trace_csv", "write_trace_jsonl"):
+        monkeypatch.setattr(runner, name, counted(name))
+    config = parse_config(minimal_raw(out=str(tmp_path), seeds=[0, 1, 2]))
+    results = runner._execute_job(config, ("adagrad", 0.5, (0, 1, 2)))
+    stems = [f"quadratic__adagrad__a0.5__s{s}" for s in (0, 1, 2)]
+    assert sorted(calls) == sorted(
+        [("write_trace_csv", f"{s}.csv") for s in stems]
+        + [("write_trace_jsonl", f"{s}.jsonl") for s in stems]
+    )
+    assert [Path(r["trace_csv"]).stem for r in results] == stems
+
+
 # ---------------------------------------------------------------------------
 # config parsing / validation
 
@@ -399,6 +516,23 @@ def test_parse_config_rejects(mutation):
         (
             {"optimizers": [{"name": "adam", "alpha": [0.3]}]},
             "unknown optimizer 'adam' keys: ['alpha']",
+        ),
+        (
+            {"optimizers": [{"name": "wada", "alphas": [0.1, 0.1000001]}]},
+            "optimizer 'wada' has alphas 0.1 and 0.1000001, which share the label '0.1'",
+        ),
+        (
+            {"optimizers": [{"name": "wada", "alphas": [0.1, 0.5, 0.1]}]},
+            "optimizer 'wada' has alphas 0.1 and 0.1, which share the label '0.1'",
+        ),
+        (
+            {
+                "optimizers": [
+                    {"name": "wada", "alphas": [0.5]},
+                    {"name": "wada", "alphas": [0.2, 0.5]},
+                ]
+            },
+            "optimizer 'wada' has alphas 0.5 and 0.5, which share the label '0.5'",
         ),
     ],
 )
