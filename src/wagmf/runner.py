@@ -45,8 +45,10 @@ _SIDECAR_MAX_DIM = 16
 _ALPHA_SIG = 0.05
 # float64 elements (8 MB) in each dense (seeds, T, d) trace array of a seed block
 _BLOCK_ELEMENTS = 1 << 20
-# trace rows formatted per write; a d = 16 JSONL slice holds about 3 MB
-_WRITE_ROWS = 1024
+# trace rows formatted per write: a d = 16 JSONL slice's text stays under
+# glibc's 128 KB mmap threshold and its row lists under the GC's 700-object
+# threshold, so each slice reuses the memory the last one freed
+_WRITE_ROWS = 128
 
 
 @dataclass
