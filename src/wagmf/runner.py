@@ -45,9 +45,9 @@ _SIDECAR_MAX_DIM = 16
 _ALPHA_SIG = 0.05
 # float64 elements (8 MB) in each dense (seeds, T, d) trace array of a seed block
 _BLOCK_ELEMENTS = 1 << 20
-# trace rows formatted per write: a d = 16 JSONL slice's text stays under
-# glibc's 128 KB mmap threshold and its row lists under the GC's 700-object
-# threshold, so each slice reuses the memory the last one freed
+# trace rows serialized per write: a d = 16 .npy slice (52 KB) stays under
+# glibc's 128 KB mmap threshold and a CSV slice's row tuples under the GC's
+# 700-object threshold, so each slice reuses the memory the last one freed
 _WRITE_ROWS = 128
 
 
@@ -280,7 +280,7 @@ def trace_row_indices(T: int) -> np.ndarray:
 
 def _row_slices(T: int):
     """The serialized rows' indices in slices of at most ``_WRITE_ROWS``, so
-    a writer holds one slice's Python floats and text at a time."""
+    a writer holds one slice's copies, Python floats and text at a time."""
     idx = trace_row_indices(T)
     return (idx[lo : lo + _WRITE_ROWS] for lo in range(0, idx.size, _WRITE_ROWS))
 
@@ -297,16 +297,16 @@ def write_trace_csv(trace: RunTrace, path, avg_regret: np.ndarray | None = None)
             f.write("".join(_CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
 
 
-def write_trace_jsonl(trace: RunTrace, path) -> None:
-    """One ``{"t", "x", "g"}`` object per serialized round, in json's float text."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+def write_trace_npy(trace: RunTrace, path) -> None:
+    """The serialized rounds' t, x, g, V, loss and alpha as one little-endian
+    structured record, byte for byte ``np.save`` of the whole record."""
+    cols = {name: getattr(trace, name) for name in ("t", "x", "g", "V", "loss", "alpha")}
+    dtype = np.dtype([(name, a.dtype.newbyteorder("<"), a.shape[1:]) for name, a in cols.items()])
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False}
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(f, header | {"shape": (trace_row_indices(trace.T).size,)})
         for rows in _row_slices(trace.T):
-            text = "".join(
-                f'{{"t": {t}, "x": {x}, "g": {g}}}\n'
-                for t, x, g in zip(*(a[rows].tolist() for a in (trace.t, trace.x, trace.g)))
-            )
-            # str() of a float list is json's text, except for non-finite values
-            f.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
+            f.write(np.rec.fromarrays([a[rows] for a in cols.values()], dtype=dtype).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +545,9 @@ def _cell_result(
         write_trace_csv(trace, csv_path, avg_series)
         result["trace_csv"] = str(csv_path)
         if trace.dim <= _SIDECAR_MAX_DIM:
-            jsonl_path = Path(out) / f"{stem}.jsonl"
-            write_trace_jsonl(trace, jsonl_path)
-            result["trace_jsonl"] = str(jsonl_path)
+            npy_path = Path(out) / f"{stem}.npy"
+            write_trace_npy(trace, npy_path)
+            result["trace_npy"] = str(npy_path)
     return result
 
 

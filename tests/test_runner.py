@@ -2,6 +2,7 @@
 config validation, grid selection, significance, and determinism across
 worker counts."""
 
+import io
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from wagmf.runner import (
     trace_row_indices,
     validate_config,
     write_trace_csv,
-    write_trace_jsonl,
+    write_trace_npy,
 )
 from wagmf.runner import _worker_count
 from wagmf import presets
@@ -327,14 +328,27 @@ def test_write_trace_csv_without_regret_emits_nan(tmp_path):
     assert math.isnan(float(row[2]))
 
 
-def test_write_trace_jsonl_rows(tmp_path):
+def test_write_trace_npy_rows(tmp_path):
     trace = make_trace(T=6, d=3)
-    path = tmp_path / "trace.jsonl"
-    write_trace_jsonl(trace, path)
-    rows = [json.loads(line) for line in path.read_text().strip().split("\n")]
-    assert [r["t"] for r in rows] == list(range(1, 7))
-    assert rows[2]["x"] == trace.x[2].tolist()
-    assert rows[2]["g"] == trace.g[2].tolist()
+    path = tmp_path / "trace.npy"
+    write_trace_npy(trace, path)
+    rec = np.load(path, allow_pickle=False)
+    assert rec.dtype == npy_dtype(3) and rec.shape == (6,)
+    assert rec["t"].tolist() == list(range(1, 7))
+    for name in ("x", "g", "V", "loss", "alpha"):
+        assert np.array_equal(rec[name], getattr(trace, name)), name
+
+
+def test_npy_sidecar_loads_without_pickle(tmp_path):
+    # a record covering a d = 16 trace holds no object field, so it loads
+    # with pickling off
+    trace = make_trace(T=300, d=runner._SIDECAR_MAX_DIM)
+    write_trace_npy(trace, tmp_path / "t.npy")
+    rec = np.load(tmp_path / "t.npy", allow_pickle=False)
+    assert not rec.dtype.hasobject
+    assert rec.dtype.names == ("t", "x", "g", "V", "loss", "alpha")
+    assert rec["x"].shape == (300, 16)
+    assert np.array_equal(rec["x"], trace.x)
 
 
 def reference_csv(trace, avg_regret):
@@ -352,24 +366,41 @@ def reference_csv(trace, avg_regret):
     return "".join(lines)
 
 
-def reference_jsonl(trace):
-    """The JSONL text, one json.dumps per row."""
-    return "".join(
-        json.dumps({"t": int(trace.t[i]), "x": trace.x[i].tolist(), "g": trace.g[i].tolist()})
-        + "\n"
-        for i in trace_row_indices(trace.T)
+def npy_dtype(d):
+    return np.dtype(
+        [("t", "<i8"), ("x", "<f8", (d,)), ("g", "<f8", (d,)), ("V", "<f8", (d,)), ("loss", "<f8"), ("alpha", "<f8")]
     )
 
 
+def reference_npy(trace):
+    """The record built row by row, and the bytes of ``np.save`` of it."""
+    idx = trace_row_indices(trace.T)
+    rec = np.empty(idx.size, npy_dtype(trace.dim))
+    for row, i in enumerate(idx):
+        rec[row] = (trace.t[i], trace.x[i], trace.g[i], trace.V[i], trace.loss[i], trace.alpha[i])
+    buf = io.BytesIO()
+    np.save(buf, rec, allow_pickle=False)
+    return rec, buf.getvalue()
+
+
+def assert_same_bits(a, b):
+    """Equal fields, compared as bit patterns so NaN payloads and -0.0 count."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    for name in a.dtype.names:
+        assert np.array_equal(a[name].view(np.uint64), b[name].view(np.uint64)), name
+
+
 def assert_writers_match_reference(trace, avg_regret, write_rows):
-    csv, jsonl = reference_csv(trace, avg_regret).encode(), reference_jsonl(trace).encode()
+    csv = reference_csv(trace, avg_regret).encode()
+    rec, npy = reference_npy(trace)
     with tempfile.TemporaryDirectory() as tmp:
         for rows in write_rows:
             with mock.patch.object(runner, "_WRITE_ROWS", rows):
                 write_trace_csv(trace, Path(tmp) / "t.csv", avg_regret)
-                write_trace_jsonl(trace, Path(tmp) / "t.jsonl")
+                write_trace_npy(trace, Path(tmp) / "t.npy")
             assert (Path(tmp) / "t.csv").read_bytes() == csv
-            assert (Path(tmp) / "t.jsonl").read_bytes() == jsonl
+            assert (Path(tmp) / "t.npy").read_bytes() == npy
+            assert_same_bits(np.load(Path(tmp) / "t.npy", allow_pickle=False), rec)
 
 
 # non-finite values, signed zero, subnormals, and where repr and .17g switch
@@ -388,7 +419,8 @@ def traces(draw):
     x, g = (draw(arrays(np.float64, (T, d), elements=trace_values)) for _ in range(2))
     loss, alpha = (draw(arrays(np.float64, T, elements=trace_values)) for _ in range(2))
     avg = draw(st.none() | arrays(np.float64, T, elements=trace_values))
-    return RunTrace(x, g, loss, alpha, np.ones((T, d))), avg
+    V = draw(arrays(np.float64, (T, d), elements=trace_values))
+    return RunTrace(x, g, loss, alpha, V), avg
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -407,23 +439,25 @@ def test_trace_writers_match_the_value_by_value_text_past_the_row_cap():
     assert_writers_match_reference(trace, np.linspace(2.0, 1e-5, trace.T), (runner._WRITE_ROWS,))
 
 
-def test_jsonl_writer_memory_stays_bounded(tmp_path):
-    # 83335 rows of 32 floats: their Python floats and text are tens of MB
+def test_npy_writer_memory_stays_bounded(tmp_path):
+    # 83335 rows of 50 values: one whole record would be 34 MB
     T, d = 250_001, 16
     gen = np.random.default_rng(0)
     x, g = gen.standard_normal((T, d)), gen.standard_normal((T, d))
     trace = RunTrace(x, g, gen.random(T), np.ones(T), np.broadcast_to(1.0, (T, d)))
     tracemalloc.start()
     try:
-        write_trace_jsonl(trace, tmp_path / "t.jsonl")
+        write_trace_npy(trace, tmp_path / "t.npy")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # the row index and its copy in np.append (0.7 MB each) set the peak; one
+    # whole x column of the subsample would be 10.7 MB
+    assert peak < 4 * 2**20
 
 
 def test_cells_write_traces_through_the_module_functions(monkeypatch, tmp_path):
-    # the benchmark's tracer times trace I/O by patching these two names
+    # the benchmark's tracer times trace I/O by patching the writers by name
     calls = []
 
     def counted(name):
@@ -435,14 +469,14 @@ def test_cells_write_traces_through_the_module_functions(monkeypatch, tmp_path):
 
         return write
 
-    for name in ("write_trace_csv", "write_trace_jsonl"):
+    for name in ("write_trace_csv", "write_trace_npy"):
         monkeypatch.setattr(runner, name, counted(name))
     config = parse_config(minimal_raw(out=str(tmp_path), seeds=[0, 1, 2]))
     results = runner._execute_job(config, ("adagrad", 0.5, (0, 1, 2)))
     stems = [f"quadratic__adagrad__a0.5__s{s}" for s in (0, 1, 2)]
     assert sorted(calls) == sorted(
         [("write_trace_csv", f"{s}.csv") for s in stems]
-        + [("write_trace_jsonl", f"{s}.jsonl") for s in stems]
+        + [("write_trace_npy", f"{s}.npy") for s in stems]
     )
     assert [Path(r["trace_csv"]).stem for r in results] == stems
 
@@ -747,13 +781,13 @@ def test_output_directory_layout(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert "summary.json" in files
     assert "quadratic__adagrad__a0.5__s0.csv" in files
-    assert "quadratic__adagrad__a0.5__s1.jsonl" in files
+    assert "quadratic__adagrad__a0.5__s1.npy" in files
     with open(out / "summary.json") as f:
         summary = json.load(f)
     assert summary["best"]["adagrad"]["alpha"] == 0.5
 
 
-def test_high_dimensional_runs_skip_jsonl_sidecar(tmp_path):
+def test_high_dimensional_runs_skip_npy_sidecar(tmp_path):
     out = tmp_path / "results"
     cfg = parse_config(
         minimal_raw(
@@ -767,9 +801,9 @@ def test_high_dimensional_runs_skip_jsonl_sidecar(tmp_path):
     )
     summary = run(cfg)
     r = summary["runs"][0]
-    assert "trace_csv" in r and "trace_jsonl" not in r
+    assert "trace_csv" in r and "trace_npy" not in r
     assert "final_x" not in r  # dim 20 > the sidecar limit
-    assert not list(out.glob("*.jsonl"))
+    assert not list(out.glob("*.npy"))
 
 
 def test_grid_search_returns_best_only():
@@ -822,7 +856,7 @@ def test_run_is_identical_across_worker_counts(monkeypatch, tmp_path):
     pooled = run(parse_config(raw))
     assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
     assert files() == serial_files
-    assert len(serial_files) == 1 + 2 * 6  # summary.json plus a CSV and a JSONL per cell
+    assert len(serial_files) == 1 + 2 * 6  # summary.json plus a CSV and a .npy per cell
     runs = serial["runs"]
     assert all("avg_regret_at" in r and "thm1" in r["bounds"] for r in runs)
     assert sum("corollary1" in r["bounds"] for r in runs) == 2

@@ -191,7 +191,7 @@ def test_run_is_identical_across_chunks_and_worker_counts(monkeypatch, tmp_path)
         return text, files
 
     whole = outputs("whole", None)
-    assert len(whole[1]) == 1 + 2 * 5  # summary.json plus a CSV and a JSONL per seed
+    assert len(whole[1]) == 1 + 2 * 5  # summary.json plus a CSV and a .npy per seed
     runs = json.loads(whole[0])["runs"]
     assert [r["seed"] for r in runs] == raw["seeds"]
     assert all("avg_regret_at" in r and "corollary1" in r["bounds"] for r in runs)
