@@ -19,6 +19,7 @@ from .errors import (
 )
 from .problems import LossOracle, RoundRng
 from .schedules import MomentumSchedule, beta1_at, per_round
+from .steps import _momentum_stream
 
 
 @dataclass
@@ -115,23 +116,6 @@ def regret(
     return RegretSeries(cum, cum / trace.t)
 
 
-def reconstruct_momentum(trace: RunTrace, beta1: float, lam: float) -> np.ndarray:
-    """Momentum vectors m_t implied by the recorded gradients and the schedule
-    beta1_t = beta1 * lam**(t-1), starting from m_0 = 0.
-
-    Row t starts as (1 - beta1_t) g_t, built for all rounds at once, and
-    adds beta1_t m_{t-1} in place: the step's two products and one sum, so
-    every m_t is bit-identical to the live state's.
-    """
-    b1 = per_round(beta1_at, MomentumSchedule(beta1, lam), trace.T)
-    out = (1.0 - b1)[:, None] * trace.g
-    m = np.zeros(trace.dim)
-    for b1t, row in zip(b1.tolist(), out):
-        row += m * b1t
-        m = row
-    return out
-
-
 def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> BoundReport:
     """Evaluate the three-term regret bound from the recorded run.
 
@@ -139,23 +123,21 @@ def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> Bound
     term2 = D^2 / 2 * sum_t sum_i beta1_t V_{t-1,i} / ((1-beta1_t) alpha_t)
     term3 = sum_t alpha_t / (1-beta1) * ||m_t||^2_{V_t^{-1}}
 
-    V is taken as recorded (epsilon included), V_0 = 0, and m_t is
-    reconstructed from the gradients.  Requires a bounded feasible set with
-    sup-norm diameter ``d_inf``.
+    V is taken as recorded (epsilon included), V_0 = 0, and m_t is the step's
+    own ``_momentum_stream`` over the recorded gradients.  Requires a bounded
+    feasible set with sup-norm diameter ``d_inf``.
     """
     if not math.isfinite(d_inf):
         raise UnboundedSet("the bound needs a finite sup-norm diameter")
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
-    T = trace.T
+    mom = MomentumSchedule(beta1, lam)
     d2 = d_inf * d_inf
     term1 = d2 / (2.0 * trace.alpha[-1] * (1.0 - beta1)) * float(trace.V[-1].sum())
 
-    b1t = per_round(beta1_at, MomentumSchedule(beta1, lam), T)
+    b1t = per_round(beta1_at, mom, trace.T)
     v_prev_sums = np.concatenate([[0.0], trace.V[:-1].sum(axis=1)])
     term2 = 0.5 * d2 * float(np.sum(b1t * v_prev_sums / ((1.0 - b1t) * trace.alpha)))
 
-    m = reconstruct_momentum(trace, beta1, lam)
+    m = _momentum_stream(trace.g, mom)
     m2_over_v = np.divide(m * m, trace.V, out=np.zeros_like(m), where=trace.V > 0.0)
     term3 = float(np.sum(trace.alpha * m2_over_v.sum(axis=1))) / (1.0 - beta1)
 

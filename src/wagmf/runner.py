@@ -85,6 +85,9 @@ def build_problem(cfg: dict) -> ProblemSetup:
     name = cfg.get("name", kind)
     if not isinstance(name, str):
         raise ConfigError(f"problem name must be a string, got {name!r}")
+    # the name starts each trace file's name, which must stay inside ``out``
+    if any(c in name for c in ("/", os.sep, "\0")):
+        raise ConfigError(f"problem name must not contain a path separator or NUL, got {name!r}")
 
     if kind in ("reddi_stochastic", "reddi_online"):
         oracle = ReddiStochastic() if kind == "reddi_stochastic" else ReddiOnline()
@@ -623,7 +626,8 @@ def run(config: ExperimentConfig) -> dict:
     workers = _worker_count()
     jobs = _seed_blocks(config, setup.oracle, workers)
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker at the first submit, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             blocks = list(pool.map(partial(_execute_job, config), jobs))
     else:
         blocks = [_execute_job(config, job, setup) for job in jobs]

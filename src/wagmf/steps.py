@@ -53,6 +53,7 @@ from .numerics import abs_pow, as_vector, root
 from .schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
 
 ENGINES = ("wagmf_sum", "wagmf_stable", "ema", "amsgrad", "sign", "plain_sgd")
+_SCAN_COLUMNS = 16  # widest array that _scan runs column by column
 
 
 @dataclass(frozen=True)
@@ -266,15 +267,23 @@ def _recur(coefs, adds):
 
 def _scan(coef, add: np.ndarray) -> np.ndarray:
     """y_t = y_{t-1} * coef_t + add_t from y_0 = 0, down each column of
-    ``add`` (T, d); ``coef`` is one float or a (T,) array.  The pass runs over
-    Python floats with the per-round rules' operations in their order, so
-    every y_t is bit-identical to theirs."""
+    ``add`` (T, d), overwritten with y and returned; ``coef`` is one float or
+    a (T,) array.  Up to ``_SCAN_COLUMNS`` columns the pass runs down each
+    column over Python floats, beyond that one numpy row update per round.
+    Both do the per-round rules' product and sum in their order, so every
+    y_t is bit-identical to theirs."""
     T, d = add.shape
-    out = np.empty((T, d))
+    if d > _SCAN_COLUMNS:
+        coefs = repeat(coef) if np.ndim(coef) == 0 else coef.tolist()
+        y = np.zeros(d)
+        for c, row in zip(coefs, add):
+            row += y * c
+            y = row
+        return add
     for j in range(d):
         coefs = repeat(coef) if np.ndim(coef) == 0 else memoryview(coef)
-        out[:, j] = np.fromiter(_recur(coefs, memoryview(add[:, j])), np.float64, T)
-    return out
+        add[:, j] = np.fromiter(_recur(coefs, memoryview(add[:, j])), np.float64, T)
+    return add
 
 
 def _descent(x: float, steps, lo: float | None, hi: float | None):
@@ -307,11 +316,13 @@ def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
     For oracles whose g_t does not depend on x_t.  alpha_t, m_t, v_t, V_t and
     the steps u_t = alpha_t * m_t / V_t are built as arrays; only the clipped
     running sum x_{t+1} = clip(x_t - u_t, lo, hi) stays sequential, as one
-    scalar pass per coordinate.  Every value is bit-identical to T calls of
-    ``step``.  Measured on a 2-core x86-64 VM, the whole path costs about
-    0.5 us per coordinate and round, against 19-28 us per round for the
-    per-round numpy step at any d up to 100, so it wins up to d of about 30.
-    Every linear oracle here has d = 1, so there is no dimension gate.
+    scalar pass per coordinate.  The recursions run through ``_scan``, whose
+    column and row passes both keep the rules' operation order, so every
+    value is bit-identical to T calls of ``step``.  Measured on a 2-core
+    x86-64 VM, the whole path costs about 0.5 us per coordinate and round,
+    against 19-28 us per round for the per-round numpy step at any d up to
+    100, so it wins up to d of about 30.  Every linear oracle here has
+    d = 1, so there is no dimension gate.
 
     Returns (path, V, alpha): path (T + 1, d) holds x_1, ..., x_{T+1}, V (T, d)
     the applied preconditioners (epsilon included), alpha (T,) the step sizes.

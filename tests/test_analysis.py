@@ -9,7 +9,6 @@ from wagmf.analysis import (
     corollary1_bound,
     fd_gradient_check,
     lemma3_check,
-    reconstruct_momentum,
     regret,
     students_t_test,
     thm1_bound,
@@ -24,7 +23,7 @@ from wagmf.errors import (
 )
 from wagmf.feasible import FeasibleSet
 from wagmf.presets import make_preset
-from wagmf.steps import init_state, step
+from wagmf.steps import _momentum_stream, init_state, step
 from wagmf.schedules import MomentumSchedule, beta1_at
 from wagmf.problems import (
     MinibatchOracle,
@@ -149,10 +148,10 @@ def test_regret_shape_guard():
 # ---------------------------------------------------------------- momentum
 
 
-def test_reconstruct_momentum_matches_live_state():
+def test_momentum_stream_matches_live_state():
     orc = ReddiOnline()
     tr = run_preset("adam", 0.3, orc, 250, seed=0)
-    m = reconstruct_momentum(tr, 0.9, 1.0)
+    m = _momentum_stream(tr.g, MomentumSchedule(0.9, 1.0))
     # recompute independently
     mm, cur = [], np.zeros(1)
     for g in tr.g:
@@ -162,23 +161,22 @@ def test_reconstruct_momentum_matches_live_state():
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.99])
-def test_reconstruct_momentum_is_the_steps_momentum_bit_for_bit(lam):
-    orc = Quadratic([1.0, 2.0, 0.5], [0.3, -0.2, 0.1])
+@pytest.mark.parametrize("d", [3, 40])  # both passes of steps._scan
+def test_momentum_stream_is_the_steps_momentum_bit_for_bit(d, lam):
+    orc = Quadratic(np.linspace(0.5, 2.0, d), np.linspace(-0.3, 0.3, d))
     cfg = make_preset("wada", 0.5, {"lambda": lam})
-    st = init_state(np.zeros(3), cfg)
-    fs = FeasibleSet.box([-1.0] * 3, [1.0] * 3)
-    gs, ms = np.empty((300, 3)), np.empty((300, 3))
+    st = init_state(np.zeros(d), cfg)
+    fs = FeasibleSet.box([-1.0] * d, [1.0] * d)
+    gs, ms = np.empty((300, d)), np.empty((300, d))
     for t in range(1, 301):
         _, gs[t - 1] = orc.evaluate(t, st.x)
         step(st, gs[t - 1], cfg, fs)
         ms[t - 1] = st.m
-    tr = fixed_trace(np.zeros((300, 3)), gs, np.zeros(300), np.ones(300), np.ones((300, 3)))
-    assert np.array_equal(reconstruct_momentum(tr, 0.9, lam), ms)
+    assert np.array_equal(_momentum_stream(gs, cfg.momentum), ms)
 
 
-def test_reconstruct_momentum_with_decay():
-    tr = fixed_trace([[0.0]] * 3, [[1.0], [1.0], [1.0]], [0.0] * 3, [0.1] * 3, [[1.0]] * 3)
-    m = reconstruct_momentum(tr, 0.9, 0.5)
+def test_momentum_stream_with_decay():
+    m = _momentum_stream(np.ones((3, 1)), MomentumSchedule(0.9, 0.5))
     # beta1_t = 0.9 * 0.5^(t-1): 0.9, 0.45, 0.225
     m1 = 0.1
     m2 = 0.45 * m1 + 0.55
@@ -221,6 +219,16 @@ def test_thm1_bound_requires_bounded_set():
     tr = fixed_trace([[0.0]], [[1.0]], [0.0], [0.1], [[1.0]])
     with pytest.raises(UnboundedSet):
         thm1_bound(tr, math.inf, 0.9, 1.0)
+
+
+def test_thm1_bound_rejects_momentum_outside_its_range():
+    tr = fixed_trace([[0.0]], [[1.0]], [0.0], [0.1], [[1.0]])
+    with pytest.raises(UnboundedSet):  # the diameter is checked first
+        thm1_bound(tr, math.inf, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^beta1 must lie in \[0, 1\), got 1.0$"):
+        thm1_bound(tr, 2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^lam must lie in \(0, 1\], got 0.0$"):
+        thm1_bound(tr, 2.0, 0.9, 0.0)
 
 
 def test_dd_terms_closed_forms():

@@ -180,11 +180,26 @@ def test_mistyped_override_exits_one_without_traceback(tmp_path):
             {"problem": {**QUAD, "name": 5}, "out": "results"},
             "config error: problem name must be a string, got 5",
         ),
+        (
+            {"problem": {**QUAD, "name": "../escaped"}, "out": "results"},
+            "config error: problem name must not contain a path separator or NUL, "
+            "got '../escaped'",
+        ),
+        (
+            {"problem": {**QUAD, "name": "a/b"}, "out": "results"},
+            "config error: problem name must not contain a path separator or NUL, got 'a/b'",
+        ),
+        (
+            {"problem": {**QUAD, "name": "a\0b"}, "out": "results"},
+            "config error: problem name must not contain a path separator or NUL, "
+            "got 'a\\x00b'",
+        ),
     ],
-    ids=["batch_size", "out", "problem_name"],
+    ids=["batch_size", "out", "problem_name", "name_parent", "name_slash", "name_nul"],
 )
 def test_bad_problem_or_out_exits_one_without_traceback(tmp_path, entry, message):
-    # each used to escape as a bare ValueError, TypeError or AttributeError
+    # each used to escape as a bare ValueError, TypeError, AttributeError or
+    # FileNotFoundError, or, for '../escaped', to write traces outside out
     out = run_module(write_config(tmp_path, **entry))
     assert out.returncode == 1
     assert out.stderr.startswith(message)

@@ -200,6 +200,19 @@ def blobs(**kw):
             {"kind": "quadratic", "dim": 3, "feasible": {"lo": [-1.0], "hi": [1.0]}},
             "box has shape (1,), problem dimension is 3",
         ),
+        # a problem name starts each trace file's name under out
+        (
+            {**ONLINE, "name": "../escaped"},
+            "problem name must not contain a path separator or NUL, got '../escaped'",
+        ),
+        (
+            {**ONLINE, "name": "a/b"},
+            "problem name must not contain a path separator or NUL, got 'a/b'",
+        ),
+        (
+            {**ONLINE, "name": "a\0b"},
+            "problem name must not contain a path separator or NUL, got 'a\\x00b'",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -830,6 +843,36 @@ def test_worker_count_parsing(monkeypatch):
     monkeypatch.setenv("WAGMF_THREADS", "0")
     with pytest.raises(ConfigError):
         _worker_count()
+
+
+def test_pool_has_no_more_workers_than_jobs(monkeypatch):
+    # the fork context starts every worker at the first submit, so a pool
+    # wider than the grid would fork processes that never get a job
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    raw = minimal_raw(optimizers=[{"name": "adagrad", "alphas": [0.1, 0.5]}], T=10)
+    monkeypatch.delenv("WAGMF_THREADS", raising=False)
+    serial = run(parse_config(raw))
+    assert sizes == []
+    monkeypatch.setenv("WAGMF_THREADS", "8")
+    assert run(parse_config(raw)) == serial
+    monkeypatch.setenv("WAGMF_THREADS", "2")
+    run(parse_config({**raw, "optimizers": [{"name": "adagrad", "alphas": [0.1, 0.5, 2.0]}]}))
+    assert sizes == [2, 2]
 
 
 def test_run_is_identical_across_worker_counts(monkeypatch, tmp_path):

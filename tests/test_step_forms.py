@@ -1,15 +1,17 @@
 """Property test: T calls of ``steps.step`` and one ``steps.run_stream`` on
 the same gradient stream agree bit for bit, for every engine, at d > 1 and
-on streams with exact zeros (the epsilon = 0, V = 0 branch)."""
+on streams with exact zeros (the epsilon = 0, V = 0 branch), and on both
+sides of ``steps._scan``'s column limit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wagmf.feasible import FeasibleSet
 from wagmf.schedules import STEP_KINDS, MomentumSchedule, StepSizeSchedule, WeightSchedule
-from wagmf.steps import ENGINES, OptimizerConfig, init_state, run_stream, step
+from wagmf.steps import _SCAN_COLUMNS, ENGINES, OptimizerConfig, init_state, run_stream, step
 
 BETA2 = st.floats(0.5, 0.999)
 WEIGHTS = st.one_of(
@@ -71,3 +73,39 @@ def test_step_loop_equals_run_stream_bit_for_bit(case):
     assert same_bits(xs, path)
     assert same_bits(Vs, V)
     assert same_bits(alphas, alpha)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.99])
+@pytest.mark.parametrize("d", [17, 40])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_wide_streams_equal_the_step_loop_bit_for_bit(engine, d, lam):
+    # the hypothesis cases stop at d = 4, inside _scan's column pass
+    assert d > _SCAN_COLUMNS
+    weight = {
+        "wagmf_stable": WeightSchedule.linear(),
+        "ema": WeightSchedule.exponential(0.99),
+        "amsgrad": WeightSchedule.exponential(0.99),
+    }.get(engine, WeightSchedule.linear())
+    cfg = OptimizerConfig(
+        weight=weight,
+        step=StepSizeSchedule(0.1),
+        momentum=MomentumSchedule(0.9, lam),
+        p1=3 if engine == "wagmf_sum" else 2,
+        p2=4 if engine == "wagmf_stable" else 2,
+        engine=engine,
+        bias_correction=engine == "amsgrad",
+    )
+    rng = np.random.default_rng(d)
+    G = rng.standard_normal((200, d))
+    G[rng.random(G.shape) < 0.1] = 0.0
+    fset = FeasibleSet.box(np.full(d, -0.5), np.full(d, 0.5))
+    x1 = rng.uniform(-0.5, 0.5, d)
+    state = init_state(x1, cfg)
+    xs, Vs = [state.x.copy()], []
+    for g in G:
+        step(state, g, cfg, fset)
+        xs.append(state.x.copy())
+        Vs.append(state.last_V.copy())
+    path, V, _ = run_stream(x1, G, cfg, fset)
+    assert same_bits(xs, path)
+    assert same_bits(Vs, V)
