@@ -28,6 +28,8 @@ from .numerics import as_vector
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
+# logits (8 MB of float64) per chunk of a stacked full-batch loss
+_FULL_LOSS_LOGITS = 1 << 20
 
 
 class RoundRng:
@@ -81,7 +83,9 @@ class LossOracle:
     known_optimum   fixed comparator x* when one is known, else None
     block           ``evaluate`` also takes a (C, dim) stack of points, one
                     row per run, and returns C losses and a (C, dim)
-                    gradient, each row bit-identical to that row's own call
+                    gradient, each row bit-identical to that row's own call.
+                    Every row uses the one ``rng`` passed in, so on an oracle
+                    that draws the rows are runs of one seed.
 
     Linear oracles also provide ``gradients(T, rng)``: the whole stream
     g_1, ..., g_T as a (T, dim) array, row t-1 equal to the gradient
@@ -326,34 +330,38 @@ def _load_csv(path) -> Dataset:
 # softmax regression
 
 
-def _softmax_core(W, b, X, y, reg, grad):
-    """Loss of the multinomial logistic loss on (X, y) plus reg * sum(W**2);
-    the mean is over the given rows.  The gradient is written into ``grad``,
-    flat as [dW rows..., db].
+def _softmax_core(W, b, X, y, reg, grads):
+    """Losses of the multinomial logistic loss on (X, y) plus reg * sum(W**2)
+    at C points at once, W (C, k, d) and b (C, k); each mean is over the given
+    rows.  Each point's gradient is written into its row of ``grads``
+    (C, k*d + k), flat as [dW rows..., db].
 
-    Logits are laid out (k, m), classes by rows, so the max and the sum over
-    classes run down contiguous rows.
+    One point is the C = 1 case.  Every row's values are bit-identical to
+    that row's own call: ``matmul`` runs one gemm per point, and every
+    reduction runs over one point's values in the same order whatever C is.
+    Logits are laid out (C, k, m), classes by rows, so the max and the sum
+    over classes run down contiguous rows.
     """
-    k, d = W.shape
+    C, k, d = W.shape
     m = X.shape[0]
-    Z = W @ X.T
-    Z += b[:, None]
-    Z -= Z.max(axis=0)
+    Z = np.matmul(W, X.T)
+    Z += b[:, :, None]
+    Z -= Z.max(axis=1, keepdims=True)
     P = np.exp(Z)
-    denom = P.sum(axis=0)
+    denom = P.sum(axis=1)
     cols = np.arange(m)
     # cross-entropy: mean of log(denom) - z_y  (after max shift)
-    loss = float(np.mean(np.log(denom) - Z[y, cols]))
-    P /= denom
-    P[y, cols] -= 1.0
+    losses = np.mean(np.log(denom) - Z[:, y, cols], axis=1)
+    P /= denom[:, None, :]
+    P[:, y, cols] -= 1.0
     P /= m
-    dW = grad[: k * d].reshape(k, d)
+    dW = grads[:, : k * d].reshape(C, k, d)
     np.matmul(P, X, out=dW)
-    np.sum(P, axis=1, out=grad[k * d :])
+    np.sum(P, axis=2, out=grads[:, k * d :])
     if reg:
-        loss += reg * float(np.sum(W * W))
+        losses += reg * np.sum((W * W).reshape(C, k * d), axis=1)
         dW += (2.0 * reg) * W
-    return loss
+    return losses
 
 
 def softmax_objective(W: np.ndarray, b: np.ndarray, data: Dataset, reg: float):
@@ -371,9 +379,9 @@ def softmax_objective(W: np.ndarray, b: np.ndarray, data: Dataset, reg: float):
         )
     if not (np.isfinite(W).all() and np.isfinite(b).all()):
         raise NonFiniteInput("parameters contain NaN or Inf")
-    grad = np.empty(K * (data.d + 1))
-    loss = _softmax_core(W, b, data.features, data.labels, reg, grad)
-    return loss, grad
+    grads = np.empty((1, K * (data.d + 1)))
+    losses = _softmax_core(W[None], b[None], data.features, data.labels, reg, grads)
+    return float(losses[0]), grads[0]
 
 
 def pack_params(W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,15 +408,26 @@ class SoftmaxObjective(LossOracle):
         self.dim = data.num_classes * (data.d + 1)
 
     def loss_and_grad(self, x: np.ndarray, idx: np.ndarray | None = None):
-        W, b = unpack_params(x, self.data.num_classes, self.data.d)
+        """(loss, gradient) at one point x (dim,), or (C losses, (C, dim)
+        gradients) at a stack of points, each row bit-identical to that
+        row's own call; over the rows ``idx`` of the data when given."""
         X = self.data.features
         y = self.data.labels
         if idx is not None:
             X = X.take(idx, axis=0)
             y = y.take(idx)
-        grad = np.empty(self.dim)
-        loss = _softmax_core(W, b, X, y, self.reg, grad)
-        return loss, grad
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ShapeMismatch(
+                f"points must have shape ({self.dim},) or (C, {self.dim}), got {x.shape}"
+            )
+        k, d = self.data.num_classes, self.data.d
+        points = x.reshape(-1, self.dim)
+        grads = np.empty(points.shape)
+        W = points[:, : k * d].reshape(-1, k, d)
+        losses = _softmax_core(W, points[:, k * d :], X, y, self.reg, grads)
+        if x.ndim == 1:
+            return float(losses[0]), grads[0]
+        return losses, grads
 
     def evaluate(self, t, x, rng=None):
         return self.loss_and_grad(x)
@@ -421,9 +440,11 @@ class MinibatchOracle(LossOracle):
     each epoch draws a fresh permutation from the run's seeded source and
     slices it without replacement, so batch contents are a pure function of
     (seed, t).  The final slot of an epoch may be smaller than ``batch``.
+    A block oracle: the rows of a stack share the round's batch.
     """
 
     stochastic = True
+    block = True
 
     def __init__(self, objective: SoftmaxObjective, batch_size: int):
         if batch_size < 1:
@@ -444,5 +465,13 @@ class MinibatchOracle(LossOracle):
         idx = self._perm[slot * self.batch_size : (slot + 1) * self.batch_size]
         return self.objective.loss_and_grad(x, idx)
 
-    def full_loss(self, x) -> float:
-        return self.objective.loss_and_grad(x)[0]
+    def full_loss(self, x):
+        """The full-batch loss at x (dim,), or the C losses at the rows of a
+        (C, dim) stack, evaluated in chunks of at most ``_FULL_LOSS_LOGITS``
+        logits so that the temporaries stay bounded."""
+        if x.ndim == 1:
+            return self.objective.loss_and_grad(x)[0]
+        data = self.objective.data
+        rows = max(1, _FULL_LOSS_LOGITS // (data.num_classes * data.n))
+        chunks = (x[lo : lo + rows] for lo in range(0, x.shape[0], rows))
+        return np.concatenate([self.objective.loss_and_grad(chunk)[0] for chunk in chunks])

@@ -43,7 +43,7 @@ _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _MAX_TRACE_ROWS = 100_000
 _SIDECAR_MAX_DIM = 16
 _ALPHA_SIG = 0.05
-# float64 elements (8 MB) in each dense (seeds, T, d) trace array of a seed block
+# float64 elements (8 MB) in each per-round (rows, T, ...) trace array of a job
 _BLOCK_ELEMENTS = 1 << 20
 # trace rows serialized per write: a d = 16 .npy slice (52 KB) stays under
 # glibc's 128 KB mmap threshold and a CSV slice's row tuples under the GC's
@@ -178,18 +178,42 @@ def initial_point(setup: ProblemSetup, seed: int) -> np.ndarray:
     return lo + gen.random(lo.shape[0]) * (hi - lo)
 
 
-def run_rounds(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int | tuple[int, ...] = 0):
+@dataclass
+class LeanTrace:
+    """What a cell's result reads when no output needs the dense x, g and V:
+    the per-round loss and alpha, and x_T, the iterate the last loss was
+    charged at."""
+
+    loss: np.ndarray
+    alpha: np.ndarray
+    x_T: np.ndarray
+    seed: int | None = None
+
+
+def run_rounds(
+    setup: ProblemSetup,
+    cfg: OptimizerConfig | tuple[OptimizerConfig, ...],
+    T: int,
+    seed: int | tuple[int, ...] = 0,
+    *,
+    dense: bool = True,
+):
     """Run one (problem, optimizer, seed) experiment for T rounds.
 
     Returns (trace, x_after): the full in-memory trace plus the point held
     after the final update (the trace's x column stops at x_T, the iterate
-    the last loss was charged at).
+    the last loss was charged at).  With ``dense=False`` the trace is a
+    ``LeanTrace``, and the per-round loop records no x, g or V.
 
-    Given a tuple of seeds, returns one (trace, x_after) pair per seed, each
-    bit-identical to that seed's own call.  On a block oracle the seeds run
-    as one optimizer state (``_round_loop``); if that raises a WagmfError
-    they rerun one at a time, so the error that escapes is the first failing
-    seed's.  Other oracles run the seeds one after another.
+    Given a tuple of configs (``cfg``) and/or of seeds, returns one
+    (trace, x_after) pair per (config, seed), configs outer, each
+    bit-identical to that pair's own call.  On a block oracle that draws
+    nothing the seeds of each config run as one optimizer state; on one that
+    draws (``MinibatchOracle``) the configs of each seed run in lockstep, one
+    oracle call per round for all of them (``_round_loop``).  If that raises
+    a WagmfError the pairs rerun one at a time, so the error that escapes is
+    the first failing pair's, with that pair's index in its ``pair``
+    attribute.  Other oracles run the pairs one after another.
 
     Linear oracles take the array path: their gradient stream is drawn once
     and the engine runs over it in array form (``steps.run_stream``), with
@@ -197,74 +221,115 @@ def run_rounds(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int | tu
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if not isinstance(seed, tuple):
-        return _run_seed(setup, cfg, T, seed)
-    if setup.oracle.block and len(seed) > 1:
-        try:
-            return _round_loop(setup, cfg, T, seed)
-        except WagmfError:
-            pass
-    return [_run_seed(setup, cfg, T, s) for s in seed]
+    if not isinstance(cfg, tuple) and not isinstance(seed, tuple):
+        return _run_seed(setup, cfg, T, seed, dense)
+    cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    oracle = setup.oracle
+    try:
+        if oracle.block and oracle.stochastic and len(cfgs) > 1:
+            per_seed = [_round_loop(setup, cfgs, T, (s,), dense) for s in seeds]
+            return [runs[k] for k in range(len(cfgs)) for runs in per_seed]
+        if oracle.block and not oracle.stochastic and len(seeds) > 1:
+            return [run for c in cfgs for run in _round_loop(setup, c, T, seeds, dense)]
+    except WagmfError:
+        pass
+    runs = []
+    for c in cfgs:
+        for s in seeds:
+            try:
+                runs.append(_run_seed(setup, c, T, s, dense))
+            except WagmfError as e:
+                e.pair = len(runs)
+                raise
+    return runs
 
 
-def _run_seed(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int):
+def _run_seed(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int, dense: bool = True):
     """One seed: the array path on a linear oracle, else the per-round loop."""
     oracle = setup.oracle
     if not oracle.linear:
-        return _round_loop(setup, cfg, T, (seed,))[0]
+        return _round_loop(setup, cfg, T, (seed,), dense)[0]
     gs = oracle.gradients(T, RoundRng(seed))
     path, Vs, alphas = run_stream(initial_point(setup, seed), gs, cfg, setup.feasible)
     xs = path[:T]
     losses = (gs * xs).sum(axis=1)
+    if not dense:
+        return LeanTrace(losses, alphas, xs[-1].copy(), seed=seed), path[T].copy()
     return RunTrace(xs, gs, losses, alphas, Vs, seed=seed), path[T].copy()
 
 
-def _round_loop(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seeds: tuple[int, ...]):
-    """The per-round loop over C seeds as one optimizer state of width C*d,
-    seed k in coordinates k*d ... k*d + d - 1, for one seed or a block
-    oracle.  Every operation of ``steps.step`` is per coordinate, and its
-    scalars (alpha_t, beta1_t, the weight sum) are the same for every seed,
-    so each seed's values are bit-identical to its own run's.
+def _round_loop(setup: ProblemSetup, cfg, T: int, seeds: tuple[int, ...], dense: bool = True):
+    """The per-round loop over C rows: the seeds of one config, or the
+    configs (a tuple ``cfg``) of one seed.  Each round makes one
+    ``evaluate`` call, on the (C, d) stack of the rows' points when C > 1.
 
-    Returns one (trace, x_after) pair per seed.  Seed k's trace arrays are
-    the contiguous slices [k] of (C, T, ...) arrays.
+    C seeds of one config run as one optimizer state of width C*d, seed k in
+    coordinates k*d ... k*d + d - 1.  Every operation of ``steps.step`` is
+    per coordinate, and its scalars (alpha_t, beta1_t, the weight sum) are
+    the same for every seed, so each seed's values are bit-identical to its
+    own run's.  C configs of one seed (lockstep) each keep their own state,
+    whose x is a view of their row of the stack, and step on their own row
+    of the gradient, so any mix of engines runs unchanged.
+
+    Returns one (trace, x_after) pair per row.  Row k's per-round arrays are
+    the contiguous slices [k] of (C, T, ...) arrays; with ``dense=False``
+    only the loss and alpha columns are kept, with x_T.
     """
     oracle = setup.oracle
-    C = len(seeds)
-    state = init_state(np.concatenate([initial_point(setup, s) for s in seeds]), cfg)
-    d = state.x.shape[0] // C
-    fset = setup.feasible
-    if C > 1 and fset.is_box:
-        fset = FeasibleSet.box(np.tile(fset.lo, C), np.tile(fset.hi, C))
-    rng = RoundRng(seeds[0]) if C == 1 else None  # block oracles draw nothing
-    xs = np.empty((C, T, d))
-    gs = np.empty((C, T, d))
-    Vs = np.empty((C, T, d))
+    cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
+    row_seeds = [s for s in seeds for _ in cfgs]  # row k runs config k % len(cfgs)
+    X = np.stack([initial_point(setup, s) for s in row_seeds])
+    C, d = X.shape
     losses = np.empty((C, T))
-    alphas = np.empty(T)
-    # x is what evaluate takes, and *_rows are the arrays indexed round first
-    if C == 1:
-        x = state.x
-        x_rows, g_rows, V_rows, loss_rows = xs[0], gs[0], Vs[0], losses[0]
-    else:  # views: steps update state.x in place
-        x = state.x.reshape(C, d)
-        x_rows, g_rows, V_rows, loss_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs, losses))
-    step_fn = presets_mod.STEP_FN[cfg.engine]
+    alphas = np.empty((len(cfgs), T))
+    if dense:
+        xs = np.empty((C, T, d))
+        gs = np.empty((C, T, d))
+        Vs = np.empty((C, T, d))
+        # views indexed round first
+        x_rows, g_rows, V_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs))
+    if len(cfgs) == 1:  # one state over the whole stack (k = None)
+        fset = setup.feasible
+        if C > 1 and fset.is_box:
+            fset = FeasibleSet.box(np.tile(fset.lo, C), np.tile(fset.hi, C))
+        parts = [(cfgs[0], fset, None)]
+    else:
+        parts = [(c, setup.feasible, k) for k, c in enumerate(cfgs)]
+    states = []
+    for j, (c, fset, k) in enumerate(parts):
+        x_part = X.reshape(-1) if k is None else X[k]
+        state = init_state(x_part, c)
+        state.x = x_part  # a view: steps update the stack in place
+        V_out = (V_rows if k is None else Vs[k]) if dense else None
+        states.append((state, c, fset, presets_mod.STEP_FN[c.engine], k, V_out, alphas[j]))
+    rng = RoundRng(seeds[0]) if len(seeds) == 1 else None  # seed stacks draw nothing
+    x = X[0] if C == 1 else X  # what evaluate takes
+    loss_rows = losses.swapaxes(0, 1)
     evaluate = oracle.evaluate
     for t in range(1, T + 1):
         i = t - 1
         loss, g = evaluate(t, x, rng)
-        x_rows[i] = x
-        g_rows[i] = g
         loss_rows[i] = loss
-        step_fn(state, g.reshape(-1), cfg, fset)
-        V_rows[i] = state.last_V.reshape(x.shape)
-        alphas[i] = state.last_alpha
-    x_after = state.x.reshape(C, d)
-    return [
-        (RunTrace(xs[k], gs[k], losses[k], alphas.copy(), Vs[k], seed=s), x_after[k].copy())
-        for k, s in enumerate(seeds)
-    ]
+        if dense:
+            x_rows[i] = x
+            g_rows[i] = g
+        elif t == T:
+            x_T = X.copy()
+        for state, c, fset, step_fn, k, V_out, alpha_out in states:
+            step_fn(state, g.reshape(-1) if k is None else g[k], c, fset)
+            if dense:
+                V_out[i] = state.last_V.reshape(-1, d)
+            alpha_out[i] = state.last_alpha
+    runs = []
+    for k, s in enumerate(row_seeds):
+        alpha = alphas[k % len(cfgs)].copy()
+        if dense:
+            trace = RunTrace(xs[k], gs[k], losses[k], alpha, Vs[k], seed=s)
+        else:
+            trace = LeanTrace(losses[k], alpha, x_T[k], seed=s)
+        runs.append((trace, X[k].copy()))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +549,44 @@ def _safe_name(name: str) -> str:
 
 
 def _execute_job(
-    config: ExperimentConfig, job: tuple[str, float, tuple[int, ...]], setup: ProblemSetup | None = None
+    config: ExperimentConfig, job: tuple, setup: ProblemSetup | None = None
 ) -> list[dict]:
-    """Run one (optimizer, alpha, seeds) block of the grid and return one
-    result per seed; used directly and via the pool.
+    """Run one (cells, seeds) job of the grid, cells as (optimizer, alpha),
+    and return one result per (cell, seed), cells outer; used directly and
+    via the pool.  A failing run's error names its cell.
 
     Serial callers pass the problem they already built; pool workers build
     their own from ``config.problem``.
     """
-    name, alpha, seeds = job
+    cells, seeds = job
     if setup is None:
         setup = build_problem(config.problem)
-    cfg = presets_mod.make_preset(name, alpha, config.overrides)
-    if len(seeds) == 1:
-        runs = [run_rounds(setup, cfg, config.T, seeds[0])]
-    else:
-        runs = run_rounds(setup, cfg, config.T, seeds)
-    return [_cell_result(config, setup, cfg, (name, alpha, seed), *run) for seed, run in zip(seeds, runs)]
+    cfgs = tuple(presets_mod.make_preset(name, alpha, config.overrides) for name, alpha in cells)
+    dense = _needs_dense(config, setup.oracle)
+    try:
+        if len(cfgs) == len(seeds) == 1:  # the one-run form returns its trace itself
+            runs = [run_rounds(setup, cfgs[0], config.T, seeds[0], dense=dense)]
+        else:
+            runs = run_rounds(setup, cfgs, config.T, seeds, dense=dense)
+    except WagmfError as e:
+        k = getattr(e, "pair", 0)
+        (name, alpha), seed = cells[k // len(seeds)], seeds[k % len(seeds)]
+        e.args = (f"{name} at alpha {alpha:g}, seed {seed}: {e}",)
+        raise
+    full_losses = [None] * len(runs)
+    if isinstance(setup.oracle, MinibatchOracle):  # one call on the stack of x_after rows
+        full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in runs])).tolist()
+    pairs = [(cell, cfg, seed) for cell, cfg in zip(cells, cfgs) for seed in seeds]
+    return [
+        _cell_result(config, setup, cfg, (*cell, seed), *run, full_loss)
+        for (cell, cfg, seed), run, full_loss in zip(pairs, runs, full_losses)
+    ]
+
+
+def _needs_dense(config: ExperimentConfig, oracle: LossOracle) -> bool:
+    """Whether a cell's result reads its dense x, g and V: for trace files,
+    bounds or regret against a known optimum."""
+    return bool(config.out) or config.bound_eval or oracle.known_optimum is not None
 
 
 def _cell_result(
@@ -508,21 +594,24 @@ def _cell_result(
     setup: ProblemSetup,
     cfg: OptimizerConfig,
     cell: tuple[str, float, int],
-    trace: RunTrace,
+    trace: RunTrace | LeanTrace,
     x_after: np.ndarray,
+    full_loss: float | None = None,
 ) -> dict:
     """The result of one (optimizer, alpha, seed) cell from its run, with its
-    trace files written when ``config.out`` is set."""
+    trace files written when ``config.out`` is set.  ``full_loss`` is the
+    full-batch loss at ``x_after`` on a minibatch oracle."""
     name, alpha, seed = cell
+    x_T = trace.x_T if isinstance(trace, LeanTrace) else trace.x[-1]
     result = {
         "optimizer": name,
         "alpha": alpha,
         "seed": seed,
         "final_loss": float(trace.loss[-1]),
-        "final_x_norm": float(np.sqrt((trace.x[-1] ** 2).sum())),
+        "final_x_norm": float(np.sqrt((x_T**2).sum())),
     }
-    if trace.dim <= _SIDECAR_MAX_DIM:
-        result["final_x"] = trace.x[-1].tolist()
+    if x_T.size <= _SIDECAR_MAX_DIM:
+        result["final_x"] = x_T.tolist()
 
     avg_series = None
     if setup.oracle.known_optimum is not None:
@@ -531,8 +620,8 @@ def _cell_result(
         if config.checkpoints:
             result["avg_regret_at"] = {str(c): float(avg_series[c - 1]) for c in config.checkpoints}
         selection = result["final_avg_regret"]
-    elif isinstance(setup.oracle, MinibatchOracle):
-        result["final_full_loss"] = float(setup.oracle.full_loss(x_after))
+    elif full_loss is not None:
+        result["final_full_loss"] = float(full_loss)
         selection = result["final_full_loss"]
     else:
         selection = result["final_loss"]
@@ -584,37 +673,49 @@ def _worker_count() -> int:
     return n
 
 
-def _seed_blocks(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tuple]:
-    """The grid as (optimizer, alpha, seeds) jobs in grid order.
+def _jobs(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tuple]:
+    """The grid as (cells, seeds) jobs, cells as (optimizer, alpha), whose
+    results joined in job order are in grid order.
 
-    On a block oracle each (optimizer, alpha) cell's seeds split into the
-    fewest contiguous chunks whose dense trace arrays stay within
-    ``_BLOCK_ELEMENTS``, and into more where a pool of ``workers`` would
-    otherwise get fewer jobs than workers.  Other oracles run one seed per
-    job.  A seed's results do not depend on its chunk.
+    A job's per-round trace arrays hold T values per row and round, or T*d
+    when a result reads the dense trace (``_needs_dense``), and stay within
+    ``_BLOCK_ELEMENTS``.  On a block oracle that draws nothing each cell's
+    seeds split into the fewest contiguous chunks that fit, and into more
+    where a pool of ``workers`` would otherwise get fewer jobs than workers.
+    On a block oracle that draws, the cells split the same way, each chunk
+    run with every seed in lockstep, when all seeds of one cell fit and the
+    cells give each worker a job; otherwise, as on other oracles, each job
+    is one (cell, seed).  A run's results do not depend on its job.
     """
     cells = [(entry["name"], a) for entry in config.optimizers for a in entry["alphas"]]
-    seeds = config.seeds
-    n = len(seeds)
+    seeds = tuple(config.seeds)
     if oracle.block:
-        per_chunk = max(1, _BLOCK_ELEMENTS // (config.T * oracle.dim))
-        chunks = math.ceil(n / per_chunk)
-        if workers > 1:
-            chunks = min(n, max(chunks, math.ceil(workers / len(cells))))
-    else:
-        chunks = n
-    return [
-        (name, a, tuple(seeds[k * n // chunks : (k + 1) * n // chunks]))
-        for name, a in cells
-        for k in range(chunks)
-    ]
+        width = oracle.dim if _needs_dense(config, oracle) else 1
+        rows = max(1, _BLOCK_ELEMENTS // (config.T * width))
+        if not oracle.stochastic:
+            chunks = _chunks(seeds, rows, workers, len(cells))
+            return [((cell,), chunk) for cell in cells for chunk in chunks]
+        if rows >= len(seeds) and workers <= len(cells):
+            return [(chunk, seeds) for chunk in _chunks(cells, rows // len(seeds), workers, 1)]
+    return [((cell,), (s,)) for cell in cells for s in seeds]
+
+
+def _chunks(items, size: int, workers: int, jobs_per_chunk: int) -> list[tuple]:
+    """``items`` in the fewest contiguous chunks of at most ``size``, and in
+    more where ``workers`` would otherwise get fewer than one job each, with
+    ``jobs_per_chunk`` jobs for every chunk."""
+    n = len(items)
+    chunks = math.ceil(n / size)
+    if workers > 1:
+        chunks = min(n, max(chunks, math.ceil(workers / jobs_per_chunk)))
+    return [tuple(items[k * n // chunks : (k + 1) * n // chunks]) for k in range(chunks)]
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute the full experiment grid and return the summary tree.
 
     When ``config.out`` is set, per-run traces and ``summary.json`` are
-    written there.  The grid runs as jobs of seed blocks (``_seed_blocks``),
+    written there.  The grid runs as jobs of seed or cell blocks (``_jobs``),
     and output is identical for any worker count and chunking.  Serial jobs
     share the problem that validation built (oracles hold no per-run state
     beyond caches keyed by the run's seed); pool workers build their own.
@@ -624,7 +725,7 @@ def run(config: ExperimentConfig) -> dict:
         Path(config.out).mkdir(parents=True, exist_ok=True)
 
     workers = _worker_count()
-    jobs = _seed_blocks(config, setup.oracle, workers)
+    jobs = _jobs(config, setup.oracle, workers)
     if workers > 1 and len(jobs) > 1:
         # fork starts every worker at the first submit, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

@@ -485,7 +485,7 @@ def test_cells_write_traces_through_the_module_functions(monkeypatch, tmp_path):
     for name in ("write_trace_csv", "write_trace_npy"):
         monkeypatch.setattr(runner, name, counted(name))
     config = parse_config(minimal_raw(out=str(tmp_path), seeds=[0, 1, 2]))
-    results = runner._execute_job(config, ("adagrad", 0.5, (0, 1, 2)))
+    results = runner._execute_job(config, ((("adagrad", 0.5),), (0, 1, 2)))
     stems = [f"quadratic__adagrad__a0.5__s{s}" for s in (0, 1, 2)]
     assert sorted(calls) == sorted(
         [("write_trace_csv", f"{s}.csv") for s in stems]

@@ -153,10 +153,10 @@ def test_seed_blocks_respect_the_budget_and_the_pool(monkeypatch):
     cells = [("wada", 0.1), ("wada", 0.5), ("sgd", 0.1)]
 
     def chunks(workers):
-        jobs = runner._seed_blocks(config, oracle, workers)
-        assert [(n, a) for n, a, _ in jobs] == [c for c in cells for _ in range(len(jobs) // 3)]
-        assert [s for _, _, seeds in jobs for s in seeds] == 3 * config.seeds
-        return [seeds for _, _, seeds in jobs[: len(jobs) // 3]]
+        jobs = runner._jobs(config, oracle, workers)
+        assert [job_cells for job_cells, _ in jobs] == [(c,) for c in cells for _ in range(len(jobs) // 3)]
+        assert [s for _, seeds in jobs for s in seeds] == 3 * config.seeds
+        return [seeds for _, seeds in jobs[: len(jobs) // 3]]
 
     assert chunks(1) == chunks(3) == [(5, 3, 9, 1, 7)]
     assert chunks(4) == [(5, 3), (9, 1, 7)]  # at least one job per worker
@@ -165,7 +165,7 @@ def test_seed_blocks_respect_the_budget_and_the_pool(monkeypatch):
     assert chunks(1) == [(5,), (3, 9), (1, 7)]
     # a non-block oracle runs one seed per job
     reddi = build_problem({"kind": "reddi_online"}).oracle
-    assert [seeds for _, _, seeds in runner._seed_blocks(config, reddi, 1)] == 3 * [(s,) for s in config.seeds]
+    assert [seeds for _, seeds in runner._jobs(config, reddi, 1)] == 3 * [(s,) for s in config.seeds]
 
 
 def test_run_is_identical_across_chunks_and_worker_counts(monkeypatch, tmp_path):
@@ -196,6 +196,6 @@ def test_run_is_identical_across_chunks_and_worker_counts(monkeypatch, tmp_path)
     assert [r["seed"] for r in runs] == raw["seeds"]
     assert all("avg_regret_at" in r and "corollary1" in r["bounds"] for r in runs)
     monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", 2 * 40 * 2)  # blocks of at most two seeds
-    assert len(runner._seed_blocks(parse_config(raw), build_problem(raw["problem"]).oracle, 1)) == 3
+    assert len(runner._jobs(parse_config(raw), build_problem(raw["problem"]).oracle, 1)) == 3
     for threads in (None, "2", "3"):
         assert outputs(f"chunked-{threads}", threads) == whole, threads
