@@ -179,10 +179,7 @@ def corollary1_bound(
     """
     if lam == 1.0:
         raise LambdaOne("the closed-form bound requires lam < 1")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError(f"beta1 must lie in [0, 1), got {beta1}")
+    MomentumSchedule(beta1, lam)  # the schedule's own domain checks
     if not math.isfinite(d_inf):
         raise UnboundedSet("the bound needs a finite sup-norm diameter")
     grads = np.asarray(grads, dtype=np.float64)

@@ -81,22 +81,20 @@ class LossOracle:
     linear          round-t loss is g_t . x with g_t independent of x
     time_invariant  the same deterministic loss every round
     known_optimum   fixed comparator x* when one is known, else None
-    block           ``evaluate`` also takes a (C, dim) stack of points, one
-                    row per run, and returns C losses and a (C, dim)
-                    gradient, each row bit-identical to that row's own call.
-                    Every row uses the one ``rng`` passed in, so on an oracle
-                    that draws the rows are runs of one seed.
 
     Linear oracles also provide ``gradients(T, rng)``: the whole stream
     g_1, ..., g_T as a (T, dim) array, row t-1 equal to the gradient
-    ``evaluate(t, x, rng)`` returns at any x.
+    ``evaluate(t, x, rng)`` returns at any x.  Every other oracle's
+    ``evaluate`` also takes a (C, dim) stack of points, one row per run, and
+    returns C losses and a (C, dim) gradient, each row bit-identical to that
+    row's own call.  Every row uses the one ``rng`` passed in, so on an
+    oracle that draws the rows are runs of one seed.
     """
 
     dim: int = 0
     stochastic = False
     linear = False
     time_invariant = False
-    block = False
     known_optimum: np.ndarray | None = None
 
     def evaluate(self, t: int, x: np.ndarray, rng: RoundRng | None = None):
@@ -158,13 +156,12 @@ class ReddiOnline(LossOracle):
 class Quadratic(LossOracle):
     """f(x) = 0.5 * sum_i a_i (x_i - x*_i)^2 with a_i > 0, identical every round.
 
-    A block oracle: ``x`` may be one point (d,) or a stack of points (C, d).
-    ``vecdot`` runs the same dot loop per row as a 1-d ``g @ diff``, so a
-    stacked row's loss is bit-identical to its own call's.
+    ``x`` may be one point (d,) or a stack of points (C, d).  ``vecdot``
+    runs the same dot loop per row as a 1-d ``g @ diff``, so a stacked
+    row's loss is bit-identical to its own call's.
     """
 
     time_invariant = True
-    block = True
 
     def __init__(self, a_diag, x_star):
         a = as_vector(a_diag)
@@ -440,11 +437,10 @@ class MinibatchOracle(LossOracle):
     each epoch draws a fresh permutation from the run's seeded source and
     slices it without replacement, so batch contents are a pure function of
     (seed, t).  The final slot of an epoch may be smaller than ``batch``.
-    A block oracle: the rows of a stack share the round's batch.
+    The rows of a stack share the round's batch.
     """
 
     stochastic = True
-    block = True
 
     def __init__(self, objective: SoftmaxObjective, batch_size: int):
         if batch_size < 1:

@@ -207,50 +207,51 @@ def run_rounds(
 
     Given a tuple of configs (``cfg``) and/or of seeds, returns one
     (trace, x_after) pair per (config, seed), configs outer, each
-    bit-identical to that pair's own call.  On a block oracle that draws
-    nothing the seeds of each config run as one optimizer state; on one that
-    draws (``MinibatchOracle``) the configs of each seed run in lockstep, one
-    oracle call per round for all of them (``_round_loop``).  If that raises
-    a WagmfError the pairs rerun one at a time, so the error that escapes is
+    bit-identical to that pair's own call.  A linear oracle runs the pairs
+    one at a time on the array path: its gradient stream is drawn once and
+    the engine runs over it in array form (``steps.run_stream``), with the
+    same trace, bit for bit, as the per-round loop.  Any other oracle runs
+    the pairs as the rows of one per-round loop (``_round_loop``), or of one
+    loop per seed when it draws.  If a loop of more than one pair raises a
+    WagmfError the pairs rerun one at a time, so the error that escapes is
     the first failing pair's, with that pair's index in its ``pair``
-    attribute.  Other oracles run the pairs one after another.
-
-    Linear oracles take the array path: their gradient stream is drawn once
-    and the engine runs over it in array form (``steps.run_stream``), with
-    the same trace, bit for bit, as the per-round loop.
+    attribute.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if not isinstance(cfg, tuple) and not isinstance(seed, tuple):
-        return _run_seed(setup, cfg, T, seed, dense)
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     oracle = setup.oracle
-    try:
-        if oracle.block and oracle.stochastic and len(cfgs) > 1:
-            per_seed = [_round_loop(setup, cfgs, T, (s,), dense) for s in seeds]
-            return [runs[k] for k in range(len(cfgs)) for runs in per_seed]
-        if oracle.block and not oracle.stochastic and len(seeds) > 1:
-            return [run for c in cfgs for run in _round_loop(setup, c, T, seeds, dense)]
-    except WagmfError:
-        pass
-    runs = []
-    for c in cfgs:
-        for s in seeds:
-            try:
-                runs.append(_run_seed(setup, c, T, s, dense))
-            except WagmfError as e:
-                e.pair = len(runs)
-                raise
-    return runs
-
-
-def _run_seed(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int, dense: bool = True):
-    """One seed: the array path on a linear oracle, else the per-round loop."""
-    oracle = setup.oracle
+    runs = None
     if not oracle.linear:
-        return _round_loop(setup, cfg, T, (seed,), dense)[0]
-    gs = oracle.gradients(T, RoundRng(seed))
+        try:
+            if oracle.stochastic:  # the rows of a loop share its seed's draws
+                by_seed = [_round_loop(setup, cfgs, T, (s,), dense) for s in seeds]
+                runs = [rows[k] for k in range(len(cfgs)) for rows in by_seed]
+            else:
+                runs = _round_loop(setup, cfgs, T, seeds, dense)
+        except WagmfError as e:
+            if len(cfgs) * len(seeds) == 1:
+                e.pair = 0
+                raise
+    if runs is None:
+        runs = []
+        for c in cfgs:
+            for s in seeds:
+                try:
+                    if oracle.linear:
+                        runs.append(_array_path(setup, c, T, s, dense))
+                    else:
+                        runs.extend(_round_loop(setup, (c,), T, (s,), dense))
+                except WagmfError as e:
+                    e.pair = len(runs)
+                    raise
+    return runs if isinstance(cfg, tuple) or isinstance(seed, tuple) else runs[0]
+
+
+def _array_path(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int, dense: bool):
+    """One seed on a linear oracle, through ``steps.run_stream``."""
+    gs = setup.oracle.gradients(T, RoundRng(seed))
     path, Vs, alphas = run_stream(initial_point(setup, seed), gs, cfg, setup.feasible)
     xs = path[:T]
     losses = (gs * xs).sum(axis=1)
@@ -259,76 +260,71 @@ def _run_seed(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int, dens
     return RunTrace(xs, gs, losses, alphas, Vs, seed=seed), path[T].copy()
 
 
-def _round_loop(setup: ProblemSetup, cfg, T: int, seeds: tuple[int, ...], dense: bool = True):
-    """The per-round loop over C rows: the seeds of one config, or the
-    configs (a tuple ``cfg``) of one seed.  Each round makes one
-    ``evaluate`` call, on the (C, d) stack of the rows' points when C > 1.
+def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...], dense: bool = True):
+    """The per-round loop over the rows configs x seeds, configs outer.
+    Each round makes one ``evaluate`` call on the (rows, d) stack of the
+    rows' points, so an oracle that draws runs one seed per loop.
 
-    C seeds of one config run as one optimizer state of width C*d, seed k in
-    coordinates k*d ... k*d + d - 1.  Every operation of ``steps.step`` is
-    per coordinate, and its scalars (alpha_t, beta1_t, the weight sum) are
-    the same for every seed, so each seed's values are bit-identical to its
-    own run's.  C configs of one seed (lockstep) each keep their own state,
-    whose x is a view of their row of the stack, and step on their own row
-    of the gradient, so any mix of engines runs unchanged.
+    Each config keeps one optimizer state over its S seeds' rows, of width
+    S*d, seed k in coordinates k*d ... k*d + d - 1, whose x is a view of
+    those rows of the stack, and steps it on the same rows of the gradient.
+    Every operation of ``steps.step`` is per coordinate, and its scalars
+    (alpha_t, beta1_t, the weight sum) are the same for every seed, so each
+    row's values are bit-identical to its own run's; and each config steps
+    through its own engine, so any mix of engines runs unchanged.
 
-    Returns one (trace, x_after) pair per row.  Row k's per-round arrays are
-    the contiguous slices [k] of (C, T, ...) arrays; with ``dense=False``
+    Returns one (trace, x_after) pair per row.  Row r's per-round arrays are
+    the contiguous slices [r] of (rows, T, ...) arrays; with ``dense=False``
     only the loss and alpha columns are kept, with x_T.
     """
-    oracle = setup.oracle
-    cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
-    row_seeds = [s for s in seeds for _ in cfgs]  # row k runs config k % len(cfgs)
-    X = np.stack([initial_point(setup, s) for s in row_seeds])
-    C, d = X.shape
-    losses = np.empty((C, T))
+    S = len(seeds)
+    X = np.stack([initial_point(setup, s) for _ in cfgs for s in seeds])
+    R, d = X.shape
+    losses = np.empty((R, T))
     alphas = np.empty((len(cfgs), T))
     if dense:
-        xs = np.empty((C, T, d))
-        gs = np.empty((C, T, d))
-        Vs = np.empty((C, T, d))
+        xs = np.empty((R, T, d))
+        gs = np.empty((R, T, d))
+        Vs = np.empty((R, T, d))
         # views indexed round first
-        x_rows, g_rows, V_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs))
-    if len(cfgs) == 1:  # one state over the whole stack (k = None)
-        fset = setup.feasible
-        if C > 1 and fset.is_box:
-            fset = FeasibleSet.box(np.tile(fset.lo, C), np.tile(fset.hi, C))
-        parts = [(cfgs[0], fset, None)]
-    else:
-        parts = [(c, setup.feasible, k) for k, c in enumerate(cfgs)]
+        x_rows, g_rows = xs.swapaxes(0, 1), gs.swapaxes(0, 1)
+    fset = setup.feasible
+    if S > 1 and fset.is_box:
+        fset = FeasibleSet.box(np.tile(fset.lo, S), np.tile(fset.hi, S))
+    by_cfg = (len(cfgs), S * d)  # config j's rows as row j of one reshape
+    X_cfg = X.reshape(by_cfg)
     states = []
-    for j, (c, fset, k) in enumerate(parts):
-        x_part = X.reshape(-1) if k is None else X[k]
-        state = init_state(x_part, c)
-        state.x = x_part  # a view: steps update the stack in place
-        V_out = (V_rows if k is None else Vs[k]) if dense else None
-        states.append((state, c, fset, presets_mod.STEP_FN[c.engine], k, V_out, alphas[j]))
-    rng = RoundRng(seeds[0]) if len(seeds) == 1 else None  # seed stacks draw nothing
-    x = X[0] if C == 1 else X  # what evaluate takes
+    for j, c in enumerate(cfgs):
+        state = init_state(X_cfg[j], c)
+        state.x = X_cfg[j]  # a view: steps update the stack in place
+        V_out = Vs[j * S : (j + 1) * S].swapaxes(0, 1) if dense else None
+        states.append((j, state, c, presets_mod.STEP_FN[c.engine], V_out, alphas[j]))
+    rng = RoundRng(seeds[0]) if S == 1 else None  # a stack of seeds draws nothing
     loss_rows = losses.swapaxes(0, 1)
-    evaluate = oracle.evaluate
+    evaluate = setup.oracle.evaluate
     for t in range(1, T + 1):
         i = t - 1
-        loss, g = evaluate(t, x, rng)
+        loss, g = evaluate(t, X, rng)
         loss_rows[i] = loss
         if dense:
-            x_rows[i] = x
+            x_rows[i] = X
             g_rows[i] = g
         elif t == T:
             x_T = X.copy()
-        for state, c, fset, step_fn, k, V_out, alpha_out in states:
-            step_fn(state, g.reshape(-1) if k is None else g[k], c, fset)
+        g_cfg = g.reshape(by_cfg)
+        for j, state, c, step_fn, V_out, alpha_out in states:
+            step_fn(state, g_cfg[j], c, fset)
             if dense:
-                V_out[i] = state.last_V.reshape(-1, d)
+                V_out[i] = state.last_V.reshape(S, d)
             alpha_out[i] = state.last_alpha
     runs = []
-    for k, s in enumerate(row_seeds):
-        alpha = alphas[k % len(cfgs)].copy()
+    for r, s in enumerate(seeds * len(cfgs)):
+        alpha = alphas[r // S].copy()
         if dense:
-            trace = RunTrace(xs[k], gs[k], losses[k], alpha, Vs[k], seed=s)
+            trace = RunTrace(xs[r], gs[r], losses[r], alpha, Vs[r], seed=s)
         else:
-            trace = LeanTrace(losses[k], alpha, x_T[k], seed=s)
-        runs.append((trace, X[k].copy()))
+            trace = LeanTrace(losses[r], alpha, x_T[r], seed=s)
+        runs.append((trace, X[r].copy()))
     return runs
 
 
@@ -677,27 +673,25 @@ def _jobs(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tu
     """The grid as (cells, seeds) jobs, cells as (optimizer, alpha), whose
     results joined in job order are in grid order.
 
-    A job's per-round trace arrays hold T values per row and round, or T*d
-    when a result reads the dense trace (``_needs_dense``), and stay within
-    ``_BLOCK_ELEMENTS``.  On a block oracle that draws nothing each cell's
-    seeds split into the fewest contiguous chunks that fit, and into more
-    where a pool of ``workers`` would otherwise get fewer jobs than workers.
-    On a block oracle that draws, the cells split the same way, each chunk
-    run with every seed in lockstep, when all seeds of one cell fit and the
-    cells give each worker a job; otherwise, as on other oracles, each job
-    is one (cell, seed).  A run's results do not depend on its job.
+    On a linear oracle each job is one (cell, seed).  On any other, a job's
+    per-round trace arrays hold T values per row and round, or T*d when a
+    result reads the dense trace (``_needs_dense``), and stay within
+    ``_BLOCK_ELEMENTS``.  When every seed of a cell fits and a pool has no
+    more ``workers`` than cells, jobs are chunks of cells run with every
+    seed; otherwise each job is one cell with a chunk of its seeds.  Chunks
+    are contiguous and the fewest that fit, or more where the pool would
+    otherwise get fewer jobs than workers.  A run's results do not depend
+    on its job.
     """
     cells = [(entry["name"], a) for entry in config.optimizers for a in entry["alphas"]]
     seeds = tuple(config.seeds)
-    if oracle.block:
-        width = oracle.dim if _needs_dense(config, oracle) else 1
-        rows = max(1, _BLOCK_ELEMENTS // (config.T * width))
-        if not oracle.stochastic:
-            chunks = _chunks(seeds, rows, workers, len(cells))
-            return [((cell,), chunk) for cell in cells for chunk in chunks]
-        if rows >= len(seeds) and workers <= len(cells):
-            return [(chunk, seeds) for chunk in _chunks(cells, rows // len(seeds), workers, 1)]
-    return [((cell,), (s,)) for cell in cells for s in seeds]
+    if oracle.linear:
+        return [((cell,), (s,)) for cell in cells for s in seeds]
+    width = oracle.dim if _needs_dense(config, oracle) else 1
+    rows = max(1, _BLOCK_ELEMENTS // (config.T * width))
+    if rows >= len(seeds) and workers <= len(cells):
+        return [(chunk, seeds) for chunk in _chunks(cells, rows // len(seeds), workers, 1)]
+    return [((cell,), chunk) for cell in cells for chunk in _chunks(seeds, rows, workers, len(cells))]
 
 
 def _chunks(items, size: int, workers: int, jobs_per_chunk: int) -> list[tuple]:
@@ -715,7 +709,7 @@ def run(config: ExperimentConfig) -> dict:
     """Execute the full experiment grid and return the summary tree.
 
     When ``config.out`` is set, per-run traces and ``summary.json`` are
-    written there.  The grid runs as jobs of seed or cell blocks (``_jobs``),
+    written there.  The grid runs as (cells, seeds) jobs (``_jobs``),
     and output is identical for any worker count and chunking.  Serial jobs
     share the problem that validation built (oracles hold no per-run state
     beyond caches keyed by the run's seed); pool workers build their own.

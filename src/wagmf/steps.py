@@ -27,7 +27,9 @@ non-negative.  ``step`` mutates ``state`` in place and returns it; the
 preconditioner actually applied is left in ``state.last_V`` with the step
 size in ``state.last_alpha`` for tracing.  The raw weighted sum can overflow
 float64 (exponential weights); the sum rule then raises
-NonFinitePreconditioner naming the round, in both of its forms.
+NonFinitePreconditioner naming the round, in both of its forms.  A NaN or
+Inf gradient raises NonFiniteGradient naming its round, in both ``step``
+and ``run_stream``.
 
 Each rule has a per-round form (``_sum_rule``, ``_stable_rule``,
 ``_ema_rule``), which updates the state, and next to it an array form
@@ -106,9 +108,15 @@ def init_state(x0, cfg: OptimizerConfig) -> OptimizerState:
     return OptimizerState(t=0, x=x, m=np.zeros(d), v=np.zeros(d), weight_sum=0.0, v_hat=v_hat)
 
 
-def _check_grad(g: np.ndarray) -> None:
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient("gradient contains NaN or Inf")
+def _check_grad(g: np.ndarray, t: int) -> None:
+    """Raise NonFiniteGradient naming the round of the first non-finite row
+    of ``g``: one round's (d,) gradient at round t, or a stream's (T, d)
+    gradients from round t."""
+    finite = np.isfinite(g)
+    if not finite.all():
+        rows = finite.reshape(-1, g.shape[-1]).all(axis=1)
+        t += int(np.argmin(rows))
+        raise NonFiniteGradient(f"gradient contains NaN or Inf at round {t}")
 
 
 def _bias(beta: float, t: int) -> float:
@@ -237,8 +245,8 @@ def step(
 ) -> OptimizerState:
     """One round of ``cfg.engine`` on gradient ``g``.  Mutates and returns
     ``state``."""
-    _check_grad(g)
     t = state.t + 1
+    _check_grad(g, t)
     m = _momentum(state, g, cfg.momentum, t)
     a_t = schedules.alpha(cfg.step, t)
     rule = _RULES[cfg.engine][0]
@@ -329,7 +337,7 @@ def run_stream(x1, G: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
     """
     x1 = as_vector(x1)
     G = np.asarray(G, dtype=np.float64)
-    _check_grad(G)
+    _check_grad(G, 1)
     T, d = G.shape
     alphas = schedules.per_round(schedules.alpha, cfg.step, T)
     stream = _RULES[cfg.engine][1]

@@ -1,8 +1,10 @@
-"""Gate for lockstep cells: on a minibatch oracle, run_rounds given a tuple of
-configs runs them on one oracle call per round, and each config's trace and
-final point must equal its own run bit for bit.  The stacked softmax core
-behind that call must give every row the bytes of that row's own call."""
+"""Gate for lockstep cells: run_rounds given a tuple of configs runs them on
+one oracle call per round (per seed on a minibatch oracle, and over every
+seed on one that draws nothing), and each config's trace and final point
+must equal its own run bit for bit.  The stacked softmax core behind that
+call must give every row the bytes of that row's own call."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -107,22 +109,45 @@ def softmax_problem(**kw):
     }
 
 
+QUAD = {"kind": "quadratic", "a_diag": [1.0, 4.0, 0.25], "x_star": [0.5, -1.5, 2.0]}
 SETUPS = {
     "unconstrained": build_problem(softmax_problem()),
     "box": build_problem(softmax_problem(feasible={"lo": [-0.05] * 16, "hi": [0.05] * 16})),
+    # x* outside the default box [-1, 1] in two coordinates, x0 drawn per seed
+    "quadratic-box-random-x0": build_problem(QUAD),
+    "quadratic-unconstrained": build_problem(QUAD | {"x0": [0.9, -0.9, 0.0], "feasible": "unconstrained"}),
+    # a config's softmax x0 is fixed, so the per-seed x0 is set on the setup
+    "full-batch-box-random-x0": dataclasses.replace(
+        build_problem(
+            {
+                "kind": "softmax",
+                "data": softmax_problem()["data"],
+                "reg": 1e-3,
+                "feasible": {"lo": [-0.05] * 16, "hi": [0.05] * 16},
+            }
+        ),
+        x0=None,
+    ),
 }
-# every preset, plus Adam-style bias correction, in one block of mixed engines
-CONFIGS = tuple(presets.make_preset(name, 0.1) for name in sorted(presets._TABLE)) + (
-    presets.make_preset("adam", 0.1, {"bias_correction": True}),
-    presets.make_preset("amsgrad", 0.1, {"bias_correction": True}),
-)
+# every preset, plus Adam-style bias correction, in one block of mixed
+# engines, each config with its own alpha
+CASES = [(name, {}) for name in sorted(presets._TABLE)] + [
+    ("adam", {"bias_correction": True}),
+    ("amsgrad", {"bias_correction": True}),
+    ("wada", {"lambda": 0.99}),
+    ("adagrad", {"epsilon": 0}),
+    ("nostalgic(0.5)", {}),
+]
+CONFIGS = tuple(presets.make_preset(name, 0.05 + 0.01 * k, o) for k, (name, o) in enumerate(CASES))
 T = 23  # past the first epoch of five batches
 
 
 @pytest.mark.parametrize("label", SETUPS)
 def test_lockstep_cells_match_their_own_runs(label):
+    # on an oracle that draws each seed runs its own loop of every config;
+    # on one that draws nothing the block is one loop of configs x seeds
     setup = SETUPS[label]
-    seeds = (3, 11)
+    seeds = (3, 11, 0)
     dense = run_rounds(setup, CONFIGS, T, seeds)
     lean = run_rounds(setup, CONFIGS, T, seeds, dense=False)
     assert len(dense) == len(lean) == len(CONFIGS) * len(seeds)
@@ -237,7 +262,7 @@ def test_lockstep_error_names_the_first_failing_cell(monkeypatch, threads):
         monkeypatch.setenv("WAGMF_THREADS", threads)
     else:
         monkeypatch.delenv("WAGMF_THREADS", raising=False)
-    message = r"^sgd at alpha 1e\+10, seed 0: gradient contains NaN or Inf$"
+    message = r"^sgd at alpha 1e\+10, seed 0: gradient contains NaN or Inf at round 37$"
     with pytest.raises(NonFiniteGradient, match=message):
         run(parse_config(raw))
 

@@ -1,7 +1,7 @@
 """Gate for stacked cells: run_rounds given a tuple of seeds runs them as one
-optimizer state on a block oracle, and each seed's trace and final point
-must equal its own single-seed run bit for bit.  The runner splits a cell's
-seeds into blocks, which must not change any output byte."""
+optimizer state on an oracle that draws nothing, and each seed's trace and
+final point must equal its own single-seed run bit for bit.  The runner
+splits a cell's seeds into blocks, which must not change any output byte."""
 
 import json
 
@@ -123,21 +123,46 @@ OVERFLOW = {
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("threads", [None, "2"])
 def test_block_error_names_the_first_failing_seed(monkeypatch, threads):
-    config = parse_config(OVERFLOW)
+    # a healthy cell ahead of the failing one: under these overrides sgd runs
+    # the sum rule on equal weights, whose sum does not overflow
+    config = parse_config(OVERFLOW | {"optimizers": ["sgd", "adam"]})
     setup = build_problem(config.problem)
-    preset = presets.make_preset("adam", 0.1, config.overrides)
+    healthy, preset = (presets.make_preset(name, 0.1, config.overrides) for name in ("sgd", "adam"))
     # seed 0 overflows at round 31, seeds 1 and 2 at round 30, so the block
     # as a whole fails at round 30
     with pytest.raises(NonFinitePreconditioner, match="round 30:"):
-        runner._round_loop(setup, preset, 60, (0, 1, 2))
+        runner._round_loop(setup, (healthy, preset), 60, (0, 1, 2))
     with pytest.raises(NonFinitePreconditioner, match="round 31:"):
         run_rounds(setup, preset, 60, (0, 1, 2))
+    # rerun one pair at a time, the first failing pair of the mixed block is
+    # adam's seed 0, its fourth
+    with pytest.raises(NonFinitePreconditioner, match="round 31:") as first:
+        run_rounds(setup, (healthy, preset), 60, (0, 1, 2))
+    assert first.value.pair == 3
     if threads:
         monkeypatch.setenv("WAGMF_THREADS", threads)
     else:
         monkeypatch.delenv("WAGMF_THREADS", raising=False)
-    with pytest.raises(NonFinitePreconditioner, match="round 31:"):
+    with pytest.raises(NonFinitePreconditioner, match=r"^adam at alpha 0\.1, seed 0: .* round 31:"):
         run(config)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_one_pair_block_raises_without_a_rerun(monkeypatch):
+    config = parse_config(OVERFLOW)
+    setup = build_problem(config.problem)
+    preset = presets.make_preset("adam", 0.1, config.overrides)
+    loops = []
+
+    def counted(*args):
+        loops.append(args[3])
+        return round_loop(*args)
+
+    round_loop = runner._round_loop
+    monkeypatch.setattr(runner, "_round_loop", counted)
+    with pytest.raises(NonFinitePreconditioner, match="round 31:") as error:
+        run_rounds(setup, (preset,), 60, (0,))
+    assert error.value.pair == 0 and loops == [(0,)]
 
 
 def test_seed_blocks_respect_the_budget_and_the_pool(monkeypatch):
@@ -152,18 +177,35 @@ def test_seed_blocks_respect_the_budget_and_the_pool(monkeypatch):
     oracle = build_problem(config.problem).oracle
     cells = [("wada", 0.1), ("wada", 0.5), ("sgd", 0.1)]
 
-    def chunks(workers):
+    def chunks(workers, config=config, oracle=oracle):
         jobs = runner._jobs(config, oracle, workers)
         assert [job_cells for job_cells, _ in jobs] == [(c,) for c in cells for _ in range(len(jobs) // 3)]
         assert [s for _, seeds in jobs for s in seeds] == 3 * config.seeds
         return [seeds for _, seeds in jobs[: len(jobs) // 3]]
 
-    assert chunks(1) == chunks(3) == [(5, 3, 9, 1, 7)]
+    # one worker: the three cells share one job, run with every seed
+    assert runner._jobs(config, oracle, 1) == [(tuple(cells), tuple(config.seeds))]
+    assert chunks(3) == [(5, 3, 9, 1, 7)]
     assert chunks(4) == [(5, 3), (9, 1, 7)]  # at least one job per worker
     assert len(chunks(100)) == 5
+    # an oracle that draws splits its seeds the same way when there are more
+    # workers than cells
+    minibatch = parse_config(
+        {
+            "problem": {
+                "kind": "softmax",
+                "data": {"blobs": {"n": 20, "d": 2, "k": 3}},
+                "batch_size": 4,
+            },
+            "T": 40,
+            "seeds": config.seeds,
+            "optimizers": [{"name": "wada", "alphas": [0.1, 0.5]}, "sgd"],
+        }
+    )
+    assert chunks(4, minibatch, build_problem(minibatch.problem).oracle) == [(5, 3), (9, 1, 7)]
     monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", 2 * 40 * 2)  # two seeds' (T, d) arrays
     assert chunks(1) == [(5,), (3, 9), (1, 7)]
-    # a non-block oracle runs one seed per job
+    # a linear oracle runs one seed per job
     reddi = build_problem({"kind": "reddi_online"}).oracle
     assert [seeds for _, seeds in runner._jobs(config, reddi, 1)] == 3 * [(s,) for s in config.seeds]
 

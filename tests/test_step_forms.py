@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wagmf.errors import NonFiniteGradient
 from wagmf.feasible import FeasibleSet
 from wagmf.schedules import STEP_KINDS, MomentumSchedule, StepSizeSchedule, WeightSchedule
 from wagmf.steps import _SCAN_COLUMNS, ENGINES, OptimizerConfig, init_state, run_stream, step
@@ -109,3 +110,28 @@ def test_wide_streams_equal_the_step_loop_bit_for_bit(engine, d, lam):
     path, V, _ = run_stream(x1, G, cfg, fset)
     assert same_bits(xs, path)
     assert same_bits(Vs, V)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_both_forms_name_the_same_nonfinite_gradient_round(engine, bad):
+    weight = WeightSchedule.exponential(0.99) if engine in ("ema", "amsgrad") else WeightSchedule.linear()
+    cfg = OptimizerConfig(
+        weight=weight,
+        step=StepSizeSchedule(0.1),
+        momentum=MomentumSchedule(0.9),
+        p2=4 if engine == "wagmf_stable" else 2,
+        engine=engine,
+    )
+    G = np.random.default_rng(3).standard_normal((12, 3))
+    G[6, 2] = bad  # round 7, and a later round too
+    G[9, 0] = np.nan
+    fset = FeasibleSet.box(np.full(3, -1.0), np.full(3, 1.0))
+    message = r"^gradient contains NaN or Inf at round 7$"
+    with pytest.raises(NonFiniteGradient, match=message):
+        run_stream(np.zeros(3), G, cfg, fset)
+    state = init_state(np.zeros(3), cfg)
+    with pytest.raises(NonFiniteGradient, match=message):
+        for g in G:
+            step(state, g, cfg, fset)
+    assert state.t == 6
