@@ -137,7 +137,7 @@ def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> Bound
     v_prev_sums = np.concatenate([[0.0], trace.V[:-1].sum(axis=1)])
     term2 = 0.5 * d2 * float(np.sum(b1t * v_prev_sums / ((1.0 - b1t) * trace.alpha)))
 
-    m = _momentum_stream(trace.g, mom)
+    m = _momentum_stream(trace.g, mom, b1t)
     m2_over_v = np.divide(m * m, trace.V, out=np.zeros_like(m), where=trace.V > 0.0)
     term3 = float(np.sum(trace.alpha * m2_over_v.sum(axis=1))) / (1.0 - beta1)
 

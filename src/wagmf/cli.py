@@ -5,7 +5,8 @@
 
 The config file is a JSON tree (see the README for the schema); flags
 override the corresponding config entries.  Exit codes: 0 success, 1 config
-error, 2 runtime failure.  The WAGMF_THREADS environment variable caps the
+error, 2 runtime failure (a failing run, a pool worker that died, or memory
+running out).  The WAGMF_THREADS environment variable caps the
 worker pool used for independent runs.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import runner
 from .errors import ConfigError, WagmfError
@@ -115,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (WagmfError, OSError, ValueError, OverflowError) as e:
+    except (WagmfError, OSError, ValueError, OverflowError, MemoryError, BrokenExecutor) as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     best = summary.get("best", {})

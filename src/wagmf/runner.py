@@ -207,57 +207,62 @@ def run_rounds(
 
     Given a tuple of configs (``cfg``) and/or of seeds, returns one
     (trace, x_after) pair per (config, seed), configs outer, each
-    bit-identical to that pair's own call.  A linear oracle runs the pairs
-    one at a time on the array path: its gradient stream is drawn once and
-    the engine runs over it in array form (``steps.run_stream``), with the
-    same trace, bit for bit, as the per-round loop.  Any other oracle runs
-    the pairs as the rows of one per-round loop (``_round_loop``), or of one
-    loop per seed when it draws.  If a loop of more than one pair raises a
-    WagmfError the pairs rerun one at a time, so the error that escapes is
-    the first failing pair's, with that pair's index in its ``pair``
-    attribute.
+    bit-identical to that pair's own call.  A linear oracle runs each seed
+    on the array path: its gradient stream is drawn once and every config
+    runs over it in array form (``steps.run_stream``), with the same trace,
+    bit for bit, as the per-round loop.  Any other oracle runs the pairs as
+    the rows of one per-round loop (``_round_loop``), or of one loop per
+    seed when it draws.  If a run of more than one pair raises a WagmfError
+    the pairs rerun one at a time, so the error that escapes is the first
+    failing pair's, with that pair's index in its ``pair`` attribute.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     oracle = setup.oracle
+    loop = _array_path if oracle.linear else _round_loop
     runs = None
-    if not oracle.linear:
-        try:
-            if oracle.stochastic:  # the rows of a loop share its seed's draws
-                by_seed = [_round_loop(setup, cfgs, T, (s,), dense) for s in seeds]
-                runs = [rows[k] for k in range(len(cfgs)) for rows in by_seed]
-            else:
-                runs = _round_loop(setup, cfgs, T, seeds, dense)
-        except WagmfError as e:
-            if len(cfgs) * len(seeds) == 1:
-                e.pair = 0
-                raise
+    try:
+        if oracle.linear or oracle.stochastic:  # the rows of a seed share its draws
+            by_seed = [loop(setup, cfgs, T, (s,), dense) for s in seeds]
+            runs = [rows[k] for k in range(len(cfgs)) for rows in by_seed]
+        else:
+            runs = loop(setup, cfgs, T, seeds, dense)
+    except WagmfError as e:
+        if len(cfgs) * len(seeds) == 1:
+            e.pair = 0
+            raise
     if runs is None:
         runs = []
         for c in cfgs:
             for s in seeds:
                 try:
-                    if oracle.linear:
-                        runs.append(_array_path(setup, c, T, s, dense))
-                    else:
-                        runs.extend(_round_loop(setup, (c,), T, (s,), dense))
+                    runs.extend(loop(setup, (c,), T, (s,), dense))
                 except WagmfError as e:
                     e.pair = len(runs)
                     raise
     return runs if isinstance(cfg, tuple) or isinstance(seed, tuple) else runs[0]
 
 
-def _array_path(setup: ProblemSetup, cfg: OptimizerConfig, T: int, seed: int, dense: bool):
-    """One seed on a linear oracle, through ``steps.run_stream``."""
+def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int], dense: bool):
+    """One seed on a linear oracle: its gradient stream drawn once and run
+    by every config through ``steps.run_stream``.  Returns one (trace,
+    x_after) pair per config; their traces share the read-only g array, and
+    V within each group that ``run_stream`` builds once."""
+    (seed,) = seeds
     gs = setup.oracle.gradients(T, RoundRng(seed))
-    path, Vs, alphas = run_stream(initial_point(setup, seed), gs, cfg, setup.feasible)
-    xs = path[:T]
-    losses = (gs * xs).sum(axis=1)
-    if not dense:
-        return LeanTrace(losses, alphas, xs[-1].copy(), seed=seed), path[T].copy()
-    return RunTrace(xs, gs, losses, alphas, Vs, seed=seed), path[T].copy()
+    gs.flags.writeable = False
+    runs = []
+    for path, Vs, alphas in run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible):
+        xs = path[:T]
+        losses = (gs * xs).sum(axis=1)
+        if dense:
+            trace = RunTrace(xs, gs, losses, alphas, Vs, seed=seed)
+        else:
+            trace = LeanTrace(losses, alphas, xs[-1].copy(), seed=seed)
+        runs.append((trace, path[T].copy()))
+    return runs
 
 
 def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...], dense: bool = True):
@@ -673,24 +678,28 @@ def _jobs(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tu
     """The grid as (cells, seeds) jobs, cells as (optimizer, alpha), whose
     results joined in job order are in grid order.
 
-    On a linear oracle each job is one (cell, seed).  On any other, a job's
-    per-round trace arrays hold T values per row and round, or T*d when a
-    result reads the dense trace (``_needs_dense``), and stay within
-    ``_BLOCK_ELEMENTS``.  When every seed of a cell fits and a pool has no
-    more ``workers`` than cells, jobs are chunks of cells run with every
-    seed; otherwise each job is one cell with a chunk of its seeds.  Chunks
-    are contiguous and the fewest that fit, or more where the pool would
-    otherwise get fewer jobs than workers.  A run's results do not depend
-    on its job.
+    A job's per-round trace arrays hold T values per row and round, or T*d
+    when a result reads the dense trace (``_needs_dense``), and stay within
+    ``_BLOCK_ELEMENTS``.  When every seed of a cell fits, jobs are chunks of
+    cells run with every seed: on a linear oracle, chunks of one optimizer
+    entry's alphas, which share each seed's drawn stream and its momentum
+    and preconditioner; on any other, chunks of the grid's cells when a pool
+    has no more ``workers`` than cells.  Otherwise each job is one cell
+    with a chunk of its seeds.  Chunks are contiguous and the fewest that
+    fit, or more where the pool would otherwise get fewer jobs than
+    workers.  A run's results do not depend on its job.
     """
-    cells = [(entry["name"], a) for entry in config.optimizers for a in entry["alphas"]]
+    entries = [[(entry["name"], a) for a in entry["alphas"]] for entry in config.optimizers]
+    cells = [cell for grid in entries for cell in grid]
     seeds = tuple(config.seeds)
-    if oracle.linear:
-        return [((cell,), (s,)) for cell in cells for s in seeds]
     width = oracle.dim if _needs_dense(config, oracle) else 1
     rows = max(1, _BLOCK_ELEMENTS // (config.T * width))
-    if rows >= len(seeds) and workers <= len(cells):
-        return [(chunk, seeds) for chunk in _chunks(cells, rows // len(seeds), workers, 1)]
+    fit = rows // len(seeds)
+    if fit and oracle.linear:
+        chunks = [chunk for grid in entries for chunk in _chunks(grid, fit, workers, len(entries))]
+        return [(chunk, seeds) for chunk in chunks]
+    if fit and workers <= len(cells):
+        return [(chunk, seeds) for chunk in _chunks(cells, fit, workers, 1)]
     return [((cell,), chunk) for cell in cells for chunk in _chunks(seeds, rows, workers, len(cells))]
 
 

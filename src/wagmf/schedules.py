@@ -1,6 +1,7 @@
 """Scalar schedules shared by every optimizer: step sizes alpha_t, momentum
 decay beta1_t and past-gradient weights gamma_t, plus ``per_round``, which
-tabulates any of them over rounds 1..T.
+tabulates any of them over rounds 1..T.  ``alpha`` also takes an array of
+rounds, which the array form of the step uses.
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ class StepSizeSchedule:
             raise ValueError(f"unknown step-size kind {self.kind!r}")
 
 
-def alpha(s: StepSizeSchedule, t: int) -> float:
-    """Step size at round t >= 1."""
+def alpha(s: StepSizeSchedule, t):
+    """Step size at round t >= 1, or at each round of an integer array ``t``.
+    ``np.sqrt`` and ``math.sqrt`` are both correctly rounded, as is the
+    division, so each entry is bit-identical to the scalar call's."""
+    if isinstance(t, np.ndarray):
+        a = np.full(t.shape, s.base_alpha)
+        return a if s.kind == "constant" else a / np.sqrt(t)
     if s.kind == "constant":
         return s.base_alpha
     return s.base_alpha / math.sqrt(t)

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import wagmf
 
+from wagmf import runner
 from wagmf.cli import main
 
 
@@ -84,6 +86,36 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 2
     assert "run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [BrokenProcessPool, MemoryError])
+def test_dead_pool_worker_exits_two(tmp_path, capsys, monkeypatch, error):
+    # a pool worker killed mid-grid (say by the OOM killer) surfaces as
+    # BrokenProcessPool from the pool's map; no real pool starts here
+    class DeadPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            raise error("a worker died")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", DeadPool)
+    monkeypatch.setenv("WAGMF_THREADS", "2")
+    cfg = write_config(
+        tmp_path,
+        problem={"kind": "reddi_online"},
+        optimizers=["adam", "wada"],
+        seeds=[1, 2],
+    )
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"run failed: {error.__name__}: a worker died\n"
 
 
 def test_flag_overrides_replace_config_entries(tmp_path, capsys):

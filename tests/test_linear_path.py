@@ -1,16 +1,18 @@
 """Gate for the array path that linear oracles take through run_rounds: it
-must reproduce the per-round STEP_FN loop bit for bit."""
+must reproduce the per-round STEP_FN loop bit for bit, for one config or
+for an optimizer's whole alpha grid on one drawn stream."""
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from wagmf import presets
+from wagmf import presets, runner
 from wagmf.errors import NonFinitePreconditioner
 from wagmf.problems import ReddiOnline, ReddiStochastic, RoundRng
-from wagmf.runner import build_problem, parse_config, run_rounds
+from wagmf.runner import build_problem, parse_config, run, run_rounds
 
 T = 2000
 SEEDS = (5, 31)
@@ -56,6 +58,135 @@ def test_array_path_matches_per_round_loop(name, overrides):
             for f in ("x", "g", "V", "loss", "alpha"):
                 assert np.array_equal(getattr(fast, f), getattr(ref, f)), (label, seed, f)
             assert np.array_equal(x_fast, x_ref), (label, seed)
+
+
+GRID_T = 200  # five or more spikes on every stream
+GRID_ALPHAS = (0.1, 0.3)
+NAMES = sorted(presets._TABLE) + ["nostalgic(0.5)"]
+# overrides that change which branch of an engine runs, each with the
+# presets it applies to
+GRID_CASES = [
+    ({}, NAMES),
+    ({"lambda": 0.99}, NAMES),
+    ({"epsilon": 0}, NAMES),
+    ({"step_kind": "constant"}, NAMES),
+    ({"bias_correction": True}, ["adam", "amsgrad"]),
+]
+
+
+@pytest.mark.parametrize("overrides,names", GRID_CASES, ids=[str(o) for o, _ in GRID_CASES])
+def test_alpha_grid_matches_each_pair_and_the_per_round_loop(overrides, names):
+    # alphas outer, so the configs that share a stream build interleave and
+    # every tuple mixes engines (adam with wada, and the rest)
+    cfgs = tuple(presets.make_preset(n, a, overrides) for a in GRID_ALPHAS for n in names)
+    for label, setup in SETUPS.items():
+        runs = run_rounds(setup, cfgs, GRID_T, SEEDS)
+        assert len(runs) == len(cfgs) * len(SEEDS)
+        pairs = [(c, s) for c in cfgs for s in SEEDS]
+        refs = {}
+        for (c, s), (trace, x_after) in zip(pairs, runs):
+            assert trace.seed == s
+            own, x_own = run_rounds(setup, c, GRID_T, s)
+            # the online stream ignores the seed: one reference serves both
+            key = (c, s if setup.oracle.stochastic else None)
+            if key not in refs:
+                refs[key] = run_rounds(per_round(setup), c, GRID_T, s)
+            ref, x_ref = refs[key]
+            for f in ("x", "g", "V", "loss", "alpha"):
+                got = getattr(trace, f)
+                assert got.tobytes() == getattr(own, f).tobytes(), (label, c, s, f)
+                if f == "loss":
+                    # the array path's sum over coordinates turns a -0.0
+                    # product into 0.0; every other bit agrees
+                    assert np.array_equal(got, ref.loss), (label, c, s)
+                else:
+                    assert got.tobytes() == getattr(ref, f).tobytes(), (label, c, s, f)
+            assert x_after.tobytes() == x_own.tobytes() == x_ref.tobytes(), (label, c, s)
+
+
+def test_grid_traces_share_read_only_g_and_V():
+    setup = SETUPS["reddi_stochastic-box"]
+    cfgs = tuple(presets.make_preset("adam", a) for a in GRID_ALPHAS)
+    (a, _), (b, _) = run_rounds(setup, cfgs, GRID_T, 3)
+    assert a.g is b.g and a.V is b.V
+    assert not np.array_equal(a.x, b.x)
+    for f in ("g", "V"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, f)[0, 0] = 0.0
+
+
+def test_linear_jobs_chunk_each_optimizers_alpha_grid(monkeypatch):
+    T = 40
+    config = parse_config(
+        {
+            "problem": {"kind": "reddi_stochastic"},
+            "T": T,
+            "seeds": [5, 3, 9],
+            "optimizers": [
+                {"name": "adam", "alphas": [0.1, 0.3, 1.0]},
+                {"name": "wada", "alphas": [0.01, 0.03]},
+            ],
+        }
+    )
+    oracle = build_problem(config.problem).oracle
+    adam = [("adam", a) for a in (0.1, 0.3, 1.0)]
+    wada = [("wada", a) for a in (0.01, 0.03)]
+    seeds = (5, 3, 9)
+
+    def jobs(workers, budget):
+        monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", budget)
+        got = runner._jobs(config, oracle, workers)
+        # grid order, and every job within the budget
+        pairs = [(c, s) for cells, ss in got for c in cells for s in ss]
+        assert pairs == [(c, s) for c in adam + wada for s in seeds]
+        assert all(len(cells) * len(ss) * T <= max(budget, T) for cells, ss in got)
+        return got
+
+    # one job per optimizer entry, never one across entries
+    assert jobs(1, 1 << 20) == [(tuple(adam), seeds), (tuple(wada), seeds)]
+    # at least one job per worker
+    assert jobs(4, 1 << 20) == [
+        (tuple(adam[:1]), seeds),
+        (tuple(adam[1:]), seeds),
+        ((wada[0],), seeds),
+        ((wada[1],), seeds),
+    ]
+    # room for two cells' seeds
+    assert jobs(1, 6 * T) == [(tuple(adam[:1]), seeds), (tuple(adam[1:]), seeds), (tuple(wada), seeds)]
+    # no room for a cell's seeds: one cell with a chunk of them
+    assert jobs(1, 2 * T) == [((c,), ss) for c in adam + wada for ss in ((5,), (3, 9))]
+
+
+def test_linear_grid_outputs_are_identical_across_layouts_and_workers(monkeypatch, tmp_path):
+    raw = {
+        "problem": {"kind": "reddi_online"},
+        "T": GRID_T,
+        "seeds": [2, 1],
+        "checkpoints": [100, GRID_T],
+        "optimizers": [
+            {"name": "adam", "alphas": [0.1, 0.3]},
+            {"name": "wada", "alphas": [0.01, 0.03, 0.1]},
+        ],
+    }
+
+    def outputs(tag, threads):
+        out = tmp_path / tag
+        if threads:
+            monkeypatch.setenv("WAGMF_THREADS", threads)
+        else:
+            monkeypatch.delenv("WAGMF_THREADS", raising=False)
+        summary = run(parse_config(raw | {"out": str(out)}))
+        text = json.dumps(summary, sort_keys=True).replace(str(out), "OUT")
+        files = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT") for p in sorted(out.iterdir())}
+        return text, files
+
+    whole = outputs("whole", None)
+    assert len(whole[1]) == 1 + 2 * 5 * 2  # summary.json plus a CSV and a .npy per run
+    for threads in ("2", "3"):
+        assert outputs(f"pooled-{threads}", threads) == whole, threads
+    monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", GRID_T)  # one (cell, seed) per job
+    assert len(runner._jobs(parse_config(raw), build_problem(raw["problem"]).oracle, 1)) == 10
+    assert outputs("pairs", None) == whole
 
 
 @pytest.mark.parametrize("oracle", [ReddiStochastic(), ReddiOnline()], ids=["stochastic", "online"])

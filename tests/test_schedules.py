@@ -24,6 +24,17 @@ def test_alpha_inv_sqrt_and_constant():
     assert alpha(c, 1) == alpha(c, 1000) == 0.3
 
 
+@pytest.mark.parametrize(
+    "kind,base", [("inv_sqrt", 0.1), ("inv_sqrt", 1.0 / 3.0), ("inv_sqrt", 7e-3), ("constant", 0.1)]
+)
+def test_alpha_array_form_is_the_scalar_schedule_bit_for_bit(kind, base):
+    s = StepSizeSchedule(base, kind)
+    T = 10**6
+    table = alpha(s, np.arange(1, T + 1))
+    assert table.dtype == np.float64 and table.shape == (T,)
+    assert table.tobytes() == per_round(alpha, s, T).tobytes()
+
+
 def test_step_schedule_validation():
     with pytest.raises(ValueError):
         StepSizeSchedule(0.0)

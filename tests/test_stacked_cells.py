@@ -205,8 +205,9 @@ def test_seed_blocks_respect_the_budget_and_the_pool(monkeypatch):
     assert chunks(4, minibatch, build_problem(minibatch.problem).oracle) == [(5, 3), (9, 1, 7)]
     monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", 2 * 40 * 2)  # two seeds' (T, d) arrays
     assert chunks(1) == [(5,), (3, 9), (1, 7)]
-    # a linear oracle runs one seed per job
+    # a linear oracle with room for one (T,) trace runs one seed per job
     reddi = build_problem({"kind": "reddi_online"}).oracle
+    monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", 40)
     assert [seeds for _, seeds in runner._jobs(config, reddi, 1)] == 3 * [(s,) for s in config.seeds]
 
 
