@@ -17,8 +17,9 @@ from .errors import (
     MissingBranchRecord,
     UnboundedSet,
 )
-from .problems import LossOracle, RoundRng
-from .schedules import MomentumSchedule, beta1_at, per_round
+from .numerics import abs_pow, root
+from .problems import LossOracle, RoundRng, linear_loss
+from .schedules import MomentumSchedule, WeightSchedule, beta1_at, gamma, per_round
 from .steps import _momentum_stream
 
 
@@ -98,7 +99,7 @@ def regret(
     if x_star.shape != (trace.dim,):
         raise DimMismatch(f"comparator has shape {x_star.shape}, trace dim {trace.dim}")
     if oracle.linear:
-        star_losses = trace.g @ x_star
+        star_losses = linear_loss(trace.g, x_star)
     elif oracle.time_invariant:
         f_star, _ = oracle.evaluate(1, x_star, rng)
         star_losses = np.full(trace.T, f_star)
@@ -149,9 +150,8 @@ def weighted_dd_term(grads: np.ndarray) -> float:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ValueError(f"gradient trace must have shape (T, d), got {grads.shape}")
-    j = np.arange(1, grads.shape[0] + 1, dtype=np.float64)
-    per_coord = (j[:, None] * grads * grads).sum(axis=0)
-    return float(np.sum(per_coord**0.25))
+    j = per_round(gamma, WeightSchedule.linear(), grads.shape[0])
+    return float(np.sum(root((j[:, None] * abs_pow(grads, 2)).sum(axis=0), 4)))
 
 
 def adagrad_dd_term(grads: np.ndarray) -> float:
@@ -159,7 +159,7 @@ def adagrad_dd_term(grads: np.ndarray) -> float:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ValueError(f"gradient trace must have shape (T, d), got {grads.shape}")
-    return float(np.sum(np.sqrt((grads * grads).sum(axis=0))))
+    return float(np.sum(root(abs_pow(grads, 2).sum(axis=0), 2)))
 
 
 def corollary1_bound(
@@ -203,9 +203,7 @@ def lemma3_check(xs: np.ndarray, M: float):
         raise ValueError("xs must be a non-empty 1-d array")
     if (xs < 0.0).any() or (xs > M * M).any():
         raise DomainViolation(f"entries must lie in [0, M^2] = [0, {M * M}]")
-    idx = np.arange(1, xs.size + 1, dtype=np.float64)
-    prefix = np.cumsum(idx * xs)
-    denom = prefix**0.25
+    denom = root(np.cumsum(per_round(gamma, WeightSchedule.linear(), xs.size) * xs), 4)
     terms = np.divide(xs, denom, out=np.zeros_like(xs), where=xs > 0.0)
     lhs = float(terms.sum())
     rhs = float(M * denom[-1])

@@ -132,9 +132,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -4,7 +4,10 @@ An oracle maps (round t, point x, seeded source) to (loss, subgradient).
 Draws inside an oracle depend only on (seed, t) — never on evaluation order —
 so a round can be replayed at a different point (e.g. the fixed comparator)
 with the identical realization.  Returned gradient arrays may be shared;
-callers must not mutate them.
+callers must not mutate them.  The two spike streams of Reddi et al. (2018)
+share one base that turns each stream's spike rule into both ``evaluate``
+and ``gradients``; ``linear_loss`` is their one loss, which the runner's
+array path and ``regret`` also use.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ _FULL_LOSS_LOGITS = 1 << 20
 class RoundRng:
     """Counter-based random source.
 
-    ``uniform(t)`` is the t-th value of a fixed Philox stream keyed by the
-    seed, served from a lazily grown cache, so it is a pure function of
-    (seed, t).  ``uniforms(T)`` returns the first T values of the same cache
-    at once.  ``child(k)`` derives an independent generator keyed by
-    (seed, k) for bulk draws such as epoch permutations.
+    ``uniforms(T)`` returns the first T values of a fixed Philox stream
+    keyed by the seed, served from a lazily grown cache, so round t's value
+    ``uniforms(T)[t - 1]`` (any T >= t) is a pure function of (seed, t).
+    ``child(k)`` derives an independent generator keyed by (seed, k) for
+    bulk draws such as epoch permutations.
     """
 
     def __init__(self, seed: int):
@@ -50,7 +53,7 @@ class RoundRng:
         self._uniforms = np.empty(0)
 
     def uniforms(self, T: int) -> np.ndarray:
-        """uniform(1), ..., uniform(T) as one (shared, read-only) array."""
+        """The stream's first T values as one (shared, read-only) array."""
         if T > self._uniforms.size:
             n = 1 << 16
             while n < T:
@@ -59,13 +62,6 @@ class RoundRng:
             self._uniforms = gen.random(n)
             self._uniforms.flags.writeable = False
         return self._uniforms[:T]
-
-    def uniform(self, t: int) -> float:
-        if t < 1:
-            raise ValueError(f"round index must be >= 1, got {t}")
-        if t > self._uniforms.size:
-            self.uniforms(t)
-        return self._uniforms[t - 1]
 
     def child(self, k: int) -> np.random.Generator:
         return np.random.Generator(
@@ -84,11 +80,11 @@ class LossOracle:
 
     Linear oracles also provide ``gradients(T, rng)``: the whole stream
     g_1, ..., g_T as a (T, dim) array, row t-1 equal to the gradient
-    ``evaluate(t, x, rng)`` returns at any x.  Every other oracle's
-    ``evaluate`` also takes a (C, dim) stack of points, one row per run, and
-    returns C losses and a (C, dim) gradient, each row bit-identical to that
-    row's own call.  Every row uses the one ``rng`` passed in, so on an
-    oracle that draws the rows are runs of one seed.
+    ``evaluate(t, x, rng)`` returns at any x; their loss is ``linear_loss``.
+    Every other oracle's ``evaluate`` also takes a (C, dim) stack of points,
+    one row per run, and returns C losses and a (C, dim) gradient, each row
+    bit-identical to that row's own call.  Every row uses the one ``rng``
+    passed in, so on an oracle that draws the rows are runs of one seed.
     """
 
     dim: int = 0
@@ -104,36 +100,18 @@ class LossOracle:
         raise NotImplementedError
 
 
-class ReddiStochastic(LossOracle):
-    """Linear losses on [-1, 1]: slope 1010 with probability 1/100, else -10.
-
-    The expected subgradient is 0.01 * 1010 - 0.99 * 10 = 0.2 > 0, so the
-    expected loss is minimized at the left endpoint x* = -1, even though 99%
-    of rounds push toward +1.
-    """
-
-    dim = 1
-    stochastic = True
-    linear = True
-
-    def __init__(self):
-        self.known_optimum = np.array([-1.0])
-        self._g_hi = np.array([1010.0])
-        self._g_lo = np.array([-10.0])
-
-    def evaluate(self, t, x, rng):
-        g = self._g_hi if rng.uniform(t) < 0.01 else self._g_lo
-        return g[0] * x[0], g
-
-    def gradients(self, T, rng):
-        return np.where((rng.uniforms(T) < 0.01)[:, None], self._g_hi, self._g_lo)
+def linear_loss(g: np.ndarray, x: np.ndarray):
+    """The linear loss g . x at one point x (d,), or the losses at the rows
+    of a stack (C, d).  The sum starts from +0.0, so a -0.0 product, as at
+    x = 0, gives 0.0 whatever the number of rows."""
+    return np.add.reduce(g * x, axis=-1)
 
 
-class ReddiOnline(LossOracle):
-    """Deterministic variant: slope 1010 when t % 101 == 1, else -10.
-
-    Any 101 consecutive rounds accumulate slope 1010 - 100 * 10 = 10 > 0,
-    so x* = -1 again minimizes the cumulative loss.
+class _SpikeStream(LossOracle):
+    """Linear losses on [-1, 1]: slope 1010 on the rounds where the
+    subclass's ``spikes(t, last, rng)`` holds, else -10; x* = -1.  The rule
+    takes a round t, or an array of rounds with ``last`` the largest, and
+    returns a bool of t's shape, so ``evaluate`` and ``gradients`` share it.
     """
 
     dim = 1
@@ -145,12 +123,36 @@ class ReddiOnline(LossOracle):
         self._g_lo = np.array([-10.0])
 
     def evaluate(self, t, x, rng=None):
-        g = self._g_hi if t % 101 == 1 else self._g_lo
-        return g[0] * x[0], g
+        g = self._g_hi if self.spikes(t, t, rng) else self._g_lo
+        return linear_loss(g, x), g
 
     def gradients(self, T, rng=None):
-        t = np.arange(1, T + 1)
-        return np.where((t % 101 == 1)[:, None], self._g_hi, self._g_lo)
+        return np.where(self.spikes(np.arange(1, T + 1), T, rng)[:, None], self._g_hi, self._g_lo)
+
+
+class ReddiStochastic(_SpikeStream):
+    """Slope 1010 with probability 1/100, else -10.
+
+    The expected subgradient is 0.01 * 1010 - 0.99 * 10 = 0.2 > 0, so the
+    expected loss is minimized at the left endpoint x* = -1, even though 99%
+    of rounds push toward +1.
+    """
+
+    stochastic = True
+
+    def spikes(self, t, last, rng):
+        return rng.uniforms(last)[t - 1] < 0.01
+
+
+class ReddiOnline(_SpikeStream):
+    """Deterministic variant: slope 1010 when t % 101 == 1, else -10.
+
+    Any 101 consecutive rounds accumulate slope 1010 - 100 * 10 = 10 > 0,
+    so x* = -1 again minimizes the cumulative loss.
+    """
+
+    def spikes(self, t, last, rng):
+        return t % 101 == 1
 
 
 class Quadratic(LossOracle):

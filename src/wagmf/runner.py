@@ -33,6 +33,7 @@ from .problems import (
     RoundRng,
     SoftmaxObjective,
     gaussian_blobs,
+    linear_loss,
     load_dataset,
 )
 from .schedules import exponential_weight_sum
@@ -256,7 +257,7 @@ def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int], den
     runs = []
     for path, Vs, alphas in run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible):
         xs = path[:T]
-        losses = (gs * xs).sum(axis=1)
+        losses = linear_loss(gs, xs)
         if dense:
             trace = RunTrace(xs, gs, losses, alphas, Vs, seed=seed)
         else:
@@ -565,10 +566,7 @@ def _execute_job(
     cfgs = tuple(presets_mod.make_preset(name, alpha, config.overrides) for name, alpha in cells)
     dense = _needs_dense(config, setup.oracle)
     try:
-        if len(cfgs) == len(seeds) == 1:  # the one-run form returns its trace itself
-            runs = [run_rounds(setup, cfgs[0], config.T, seeds[0], dense=dense)]
-        else:
-            runs = run_rounds(setup, cfgs, config.T, seeds, dense=dense)
+        runs = run_rounds(setup, cfgs, config.T, seeds, dense=dense)
     except WagmfError as e:
         k = getattr(e, "pair", 0)
         (name, alpha), seed = cells[k // len(seeds)], seeds[k % len(seeds)]

@@ -255,6 +255,28 @@ def test_dd_term_comparison_crossover():
     assert weighted_dd_term(decaying) > adagrad_dd_term(decaying)
 
 
+def test_dd_term_comparison_scale_threshold():
+    # g_j = G j^-q at d = 1: W/A scales as G^(-1/2), so the weighted term W
+    # is below AdaGrad's A exactly when G > G* = (W/A at G = 1)^2.  For
+    # q > 1, G* tends to zeta(2q-1)^(1/2) / zeta(2q), a constant in T; for
+    # q <= 1 it grows with T.
+    def w_over_a(g):
+        return weighted_dd_term(g) / adagrad_dd_term(g)
+
+    zeta = {2: math.pi**2 / 6, 3: 1.2020569031595942, 4: math.pi**4 / 90}
+    table = {0.5: (10.22, 69.48), 1.0: (1.902, 2.306), 1.5: (1.067, 1.067), 2.0: (1.013, 1.013)}
+    for q, g_stars in table.items():
+        for T, expect in zip((10_000, 1_000_000), g_stars):
+            g = (np.arange(1, T + 1, dtype=np.float64) ** -q)[:, None]
+            g_star = w_over_a(g) ** 2
+            assert g_star == pytest.approx(expect, rel=1e-3), (q, T)
+            if q > 1:
+                limit = math.sqrt(zeta[round(2 * q - 1)]) / zeta[round(2 * q)]
+                assert g_star == pytest.approx(limit, rel=1e-3), (q, T)
+            for c in (0.01, 1010.0):
+                assert w_over_a(c * g) == pytest.approx(w_over_a(g) / math.sqrt(c), rel=1e-12)
+
+
 def test_corollary1_structure_and_lambda_guard():
     rng = np.random.default_rng(0)
     grads = rng.uniform(-1, 1, size=(100, 2))
@@ -307,6 +329,16 @@ def test_lemma3_claim_has_counterexamples_but_factor_four_holds():
         assert lhs <= 4.0 * rhs + 1e-12, (M, n, lhs, rhs)
         assert lhs <= 2.0 * math.sqrt(2.0) * rhs + 1e-12, (M, n, lhs, rhs)
     assert seen_violation
+
+    # the sweep understates the worst case: the all-ones sequence at M = 1
+    # (the ratio does not depend on M) climbs toward 2*sqrt(2) as n grows
+    ratios = []
+    for n in (2, 200, 10_000, 1_000_000):
+        _, lhs, rhs = lemma3_check(np.ones(n), 1.0)
+        ratios.append(lhs / rhs)
+    assert ratios == pytest.approx([1.3372, 2.6342, 2.8005, 2.8256], abs=1e-4)
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert 2.82 < ratios[-1] <= 2.0 * math.sqrt(2.0)
 
 
 def test_lemma3_domain_errors():

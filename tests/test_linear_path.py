@@ -39,6 +39,11 @@ SETUPS = {
 }
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits: -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def per_round(setup):
     """The same problem with its oracle marked non-linear, so run_rounds
     takes the per-round loop."""
@@ -56,8 +61,8 @@ def test_array_path_matches_per_round_loop(name, overrides):
             fast, x_fast = run_rounds(setup, preset, T, seed)
             ref, x_ref = run_rounds(per_round(setup), preset, T, seed)
             for f in ("x", "g", "V", "loss", "alpha"):
-                assert np.array_equal(getattr(fast, f), getattr(ref, f)), (label, seed, f)
-            assert np.array_equal(x_fast, x_ref), (label, seed)
+                assert same_bits(getattr(fast, f), getattr(ref, f)), (label, seed, f)
+            assert same_bits(x_fast, x_ref), (label, seed)
 
 
 GRID_T = 200  # five or more spikes on every stream
@@ -94,14 +99,9 @@ def test_alpha_grid_matches_each_pair_and_the_per_round_loop(overrides, names):
             ref, x_ref = refs[key]
             for f in ("x", "g", "V", "loss", "alpha"):
                 got = getattr(trace, f)
-                assert got.tobytes() == getattr(own, f).tobytes(), (label, c, s, f)
-                if f == "loss":
-                    # the array path's sum over coordinates turns a -0.0
-                    # product into 0.0; every other bit agrees
-                    assert np.array_equal(got, ref.loss), (label, c, s)
-                else:
-                    assert got.tobytes() == getattr(ref, f).tobytes(), (label, c, s, f)
-            assert x_after.tobytes() == x_own.tobytes() == x_ref.tobytes(), (label, c, s)
+                assert same_bits(got, getattr(own, f)), (label, c, s, f)
+                assert same_bits(got, getattr(ref, f)), (label, c, s, f)
+            assert same_bits(x_after, x_own) and same_bits(x_after, x_ref), (label, c, s)
 
 
 def test_grid_traces_share_read_only_g_and_V():
@@ -205,6 +205,10 @@ def test_trace_loss_is_gradient_dot_iterate():
     setup = SETUPS["reddi_stochastic-box"]
     trace, _ = run_rounds(setup, presets.make_preset("amsgrad", 0.3), T, seed=9)
     assert np.array_equal(trace.loss, trace.g[:, 0] * trace.x[:, 0])
+    # round 1 is charged at x = 0 with g = -10: the loss sum starts from
+    # +0.0, so it records 0.0, not the product's -0.0
+    assert trace.x[0, 0] == 0.0 and trace.g[0, 0] == -10.0
+    assert same_bits(trace.loss[:1], np.zeros(1))
 
 
 def test_uniforms_serve_the_uniform_cache():
@@ -213,11 +217,11 @@ def test_uniforms_serve_the_uniform_cache():
     u = a.uniforms(n)
     b = RoundRng(4)
     picks = [1, 2, 65_536, 65_537, n]
-    assert [b.uniform(t) for t in picks] == [u[t - 1] for t in picks]
-    # a cache grown by uniform() serves uniforms() and the reverse
-    assert np.array_equal(b.uniforms(n), u)
-    assert np.array_equal(RoundRng(4).uniforms(10), u[:10])
-    assert all(a.uniform(t) == u[t - 1] for t in range(1, 2001))
+    # a cache grown one round at a time serves the whole stream, and the reverse
+    assert [b.uniforms(t)[t - 1] for t in picks] == [u[t - 1] for t in picks]
+    assert same_bits(b.uniforms(n), u)
+    assert same_bits(RoundRng(4).uniforms(10), u[:10])
+    assert all(a.uniforms(t)[t - 1] == u[t - 1] for t in range(1, 2001))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -34,14 +34,14 @@ from wagmf.problems import (
 def test_round_rng_is_order_independent():
     a = RoundRng(7)
     b = RoundRng(7)
-    forward = [a.uniform(t) for t in range(1, 50)]
-    backward = [b.uniform(t) for t in range(49, 0, -1)]
+    forward = [a.uniforms(t)[t - 1] for t in range(1, 50)]
+    backward = [b.uniforms(t)[t - 1] for t in range(49, 0, -1)]
     assert forward == backward[::-1]
     # random-access far beyond the current cache, then back
     c = RoundRng(7)
-    far = c.uniform(10_000)
-    assert c.uniform(3) == forward[2]
-    assert c.uniform(10_000) == far
+    far = c.uniforms(10_000)[-1]
+    assert c.uniforms(3)[2] == forward[2]
+    assert c.uniforms(10_000)[-1] == far
 
 
 def test_round_rng_children_are_stable_and_distinct():
@@ -53,13 +53,13 @@ def test_round_rng_children_are_stable_and_distinct():
     assert not np.array_equal(x1, y)
     # children do not disturb the per-round stream
     r2 = RoundRng(123)
-    u_before = r2.uniform(5)
+    u_before = r2.uniforms(5)[4]
     r2.child(9).uniform(size=100)
-    assert r2.uniform(5) == u_before
+    assert r2.uniforms(5)[4] == u_before
 
 
 def test_round_rng_seeds_decorrelate():
-    u = [RoundRng(s).uniform(1) for s in range(20)]
+    u = [RoundRng(s).uniforms(1)[0] for s in range(20)]
     assert len(set(u)) == 20
 
 
