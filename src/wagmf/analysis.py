@@ -117,7 +117,7 @@ def regret(
     return RegretSeries(cum, cum / trace.t)
 
 
-def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> BoundReport:
+def thm1_bound(trace, d_inf: float, beta1: float, lam: float):
     """Evaluate the three-term regret bound from the recorded run.
 
     term1 = D^2 / (2 alpha_T (1-beta1)) * sum_i V_{T,i}
@@ -127,22 +127,28 @@ def thm1_bound(trace: RunTrace, d_inf: float, beta1: float, lam: float) -> Bound
     V is taken as recorded (epsilon included), V_0 = 0, and m_t is the step's
     own ``_momentum_stream`` over the recorded gradients.  Requires a bounded
     feasible set with sup-norm diameter ``d_inf``.
+    Given a tuple of traces of one T, returns their reports, each equal bit
+    for bit to its own call's, from one beta1_t table and one momentum stream.
     """
     if not math.isfinite(d_inf):
         raise UnboundedSet("the bound needs a finite sup-norm diameter")
     mom = MomentumSchedule(beta1, lam)
+    traces = trace if isinstance(trace, tuple) else (trace,)
     d2 = d_inf * d_inf
-    term1 = d2 / (2.0 * trace.alpha[-1] * (1.0 - beta1)) * float(trace.V[-1].sum())
-
-    b1t = per_round(beta1_at, mom, trace.T)
-    v_prev_sums = np.concatenate([[0.0], trace.V[:-1].sum(axis=1)])
-    term2 = 0.5 * d2 * float(np.sum(b1t * v_prev_sums / ((1.0 - b1t) * trace.alpha)))
-
-    m = _momentum_stream(trace.g, mom, b1t)
-    m2_over_v = np.divide(m * m, trace.V, out=np.zeros_like(m), where=trace.V > 0.0)
-    term3 = float(np.sum(trace.alpha * m2_over_v.sum(axis=1))) / (1.0 - beta1)
-
-    return BoundReport(term1, term2, term3, term1 + term2 + term3)
+    b1t = per_round(beta1_at, mom, traces[0].T)
+    one_minus_b1t = 1.0 - b1t
+    M = _momentum_stream(tuple(tr.g for tr in traces), mom, b1t)
+    M *= M
+    v_prev_sums = np.zeros(b1t.size)  # sum_i V_{t-1,i}, with V_0 = 0
+    reports = []
+    for tr, m2 in zip(traces, np.split(M, np.cumsum([tr.dim for tr in traces[:-1]]), axis=1)):
+        term1 = d2 / (2.0 * tr.alpha[-1] * (1.0 - beta1)) * float(tr.V[-1].sum())
+        tr.V[:-1].sum(axis=1, out=v_prev_sums[1:])
+        term2 = 0.5 * d2 * float((b1t * v_prev_sums / (one_minus_b1t * tr.alpha)).sum())
+        m2_over_v = np.divide(m2, tr.V, out=np.zeros(m2.shape), where=tr.V > 0.0)
+        term3 = float((tr.alpha * m2_over_v.sum(axis=1)).sum()) / (1.0 - beta1)
+        reports.append(BoundReport(term1, term2, term3, term1 + term2 + term3))
+    return reports if isinstance(trace, tuple) else reports[0]
 
 
 def weighted_dd_term(grads: np.ndarray) -> float:
@@ -150,7 +156,7 @@ def weighted_dd_term(grads: np.ndarray) -> float:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ValueError(f"gradient trace must have shape (T, d), got {grads.shape}")
-    j = per_round(gamma, WeightSchedule.linear(), grads.shape[0])
+    j = gamma(WeightSchedule.linear(), np.arange(1, grads.shape[0] + 1))
     return float(np.sum(root((j[:, None] * abs_pow(grads, 2)).sum(axis=0), 4)))
 
 
@@ -203,7 +209,7 @@ def lemma3_check(xs: np.ndarray, M: float):
         raise ValueError("xs must be a non-empty 1-d array")
     if (xs < 0.0).any() or (xs > M * M).any():
         raise DomainViolation(f"entries must lie in [0, M^2] = [0, {M * M}]")
-    denom = root(np.cumsum(per_round(gamma, WeightSchedule.linear(), xs.size) * xs), 4)
+    denom = root(np.cumsum(gamma(WeightSchedule.linear(), np.arange(1, xs.size + 1)) * xs), 4)
     terms = np.divide(xs, denom, out=np.zeros_like(xs), where=xs > 0.0)
     lhs = float(terms.sum())
     rhs = float(M * denom[-1])

@@ -55,9 +55,7 @@ class RoundRng:
     def uniforms(self, T: int) -> np.ndarray:
         """The stream's first T values as one (shared, read-only) array."""
         if T > self._uniforms.size:
-            n = 1 << 16
-            while n < T:
-                n <<= 1
+            n = 1 << (T - 1).bit_length()  # the next power of two >= T
             gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([self.seed, 0])))
             self._uniforms = gen.random(n)
             self._uniforms.flags.writeable = False

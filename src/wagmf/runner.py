@@ -40,7 +40,7 @@ from .schedules import exponential_weight_sum
 from .steps import OptimizerConfig, init_state, run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_CSV_ROW = "%s%.17g,%.17g,%.17g,%.17g%s"  # around the shared text of t and alpha_t
 _MAX_TRACE_ROWS = 100_000
 _SIDECAR_MAX_DIM = 16
 _ALPHA_SIG = 0.05
@@ -348,23 +348,26 @@ def trace_row_indices(T: int) -> np.ndarray:
     return idx
 
 
-def _row_slices(T: int):
-    """The serialized rows' indices in slices of at most ``_WRITE_ROWS``, so
-    a writer holds one slice's copies, Python floats and text at a time."""
-    idx = trace_row_indices(T)
-    return (idx[lo : lo + _WRITE_ROWS] for lo in range(0, idx.size, _WRITE_ROWS))
+def csv_row_text(trace: RunTrace) -> tuple[list[str], list[str]]:
+    """The ``"%d,"`` text of t and ``",%.17g\\n"`` text of alpha_t of each serialized row."""
+    idx = trace_row_indices(trace.T)
+    return ["%d," % t for t in trace.t[idx].tolist()], [",%.17g\n" % a for a in trace.alpha[idx].tolist()]
 
 
-def write_trace_csv(trace: RunTrace, path, avg_regret: np.ndarray | None = None) -> None:
-    """One ``TRACE_HEADER`` row per serialized round, values as ``%.17g``."""
+def write_trace_csv(trace: RunTrace, path, avg_regret: np.ndarray | None = None, row_text=None) -> None:
+    """One ``TRACE_HEADER`` row per serialized round, values as ``%.17g``; t and
+    alpha_t come as ``row_text``, the ``csv_row_text`` of any trace sharing them."""
+    heads, tails = row_text or csv_row_text(trace)
+    idx = trace_row_indices(trace.T)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(TRACE_HEADER + "\n")
-        for rows in _row_slices(trace.T):
+        for lo in range(0, idx.size, _WRITE_ROWS):
+            rows, hi = idx[lo : lo + _WRITE_ROWS], lo + _WRITE_ROWS
             x_norm = np.sqrt((trace.x[rows] ** 2).sum(axis=1))
             g_norm = np.sqrt((trace.g[rows] ** 2).sum(axis=1))
             avg = avg_regret[rows] if avg_regret is not None else np.full(rows.size, math.nan)
-            cols = (trace.t[rows], trace.loss[rows], avg, x_norm, g_norm, trace.alpha[rows])
-            f.write("".join(_CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
+            cols = (c.tolist() for c in (trace.loss[rows], avg, x_norm, g_norm))
+            f.write("".join(_CSV_ROW % row for row in zip(heads[lo:hi], *cols, tails[lo:hi])))
 
 
 def write_trace_npy(trace: RunTrace, path) -> None:
@@ -373,10 +376,16 @@ def write_trace_npy(trace: RunTrace, path) -> None:
     cols = {name: getattr(trace, name) for name in ("t", "x", "g", "V", "loss", "alpha")}
     dtype = np.dtype([(name, a.dtype.newbyteorder("<"), a.shape[1:]) for name, a in cols.items()])
     header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False}
+    idx = trace_row_indices(trace.T)
+    buf = np.empty(_WRITE_ROWS, dtype)  # one slice of the record, refilled per slice
     with open(path, "wb") as f:
-        np.lib.format.write_array_header_1_0(f, header | {"shape": (trace_row_indices(trace.T).size,)})
-        for rows in _row_slices(trace.T):
-            f.write(np.rec.fromarrays([a[rows] for a in cols.values()], dtype=dtype).tobytes())
+        np.lib.format.write_array_header_1_0(f, header | {"shape": (idx.size,)})
+        for lo in range(0, idx.size, _WRITE_ROWS):
+            rows = idx[lo : lo + _WRITE_ROWS]
+            rec = buf[: rows.size]
+            for name, a in cols.items():
+                rec[name] = a[rows]
+            f.write(rec.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +481,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         overrides=overrides,
         checkpoints=checkpoints,
     )
-    validate_config(cfg)
+    cfg._built = (repr(cfg.problem), validate_config(cfg))
     return cfg
 
 
@@ -524,9 +533,10 @@ def _switch(raw: dict, key: str) -> bool:
     return value
 
 
-def validate_config(cfg: ExperimentConfig) -> ProblemSetup:
-    """Config-time checks that need the constructed problem/presets."""
-    setup = build_problem(cfg.problem)
+def validate_config(cfg: ExperimentConfig, setup: ProblemSetup | None = None) -> ProblemSetup:
+    """Config-time checks that need the constructed problem (``setup``, built
+    from ``cfg.problem`` when not given) and presets."""
+    setup = setup or build_problem(cfg.problem)
     for entry in cfg.optimizers:
         try:
             opt = presets_mod.make_preset(entry["name"], entry["alphas"][0], cfg.overrides)
@@ -575,11 +585,12 @@ def _execute_job(
     full_losses = [None] * len(runs)
     if isinstance(setup.oracle, MinibatchOracle):  # one call on the stack of x_after rows
         full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in runs])).tolist()
-    pairs = [(cell, cfg, seed) for cell, cfg in zip(cells, cfgs) for seed in seeds]
-    return [
-        _cell_result(config, setup, cfg, (*cell, seed), *run, full_loss)
-        for (cell, cfg, seed), run, full_loss in zip(pairs, runs, full_losses)
-    ]
+    S = len(seeds)
+    results = []
+    for j, (cell, cfg) in enumerate(zip(cells, cfgs)):
+        block = slice(j * S, (j + 1) * S)
+        results += _cell_results(config, setup, cfg, cell, seeds, runs[block], full_losses[block])
+    return results
 
 
 def _needs_dense(config: ExperimentConfig, oracle: LossOracle) -> bool:
@@ -588,75 +599,69 @@ def _needs_dense(config: ExperimentConfig, oracle: LossOracle) -> bool:
     return bool(config.out) or config.bound_eval or oracle.known_optimum is not None
 
 
-def _cell_result(
-    config: ExperimentConfig,
-    setup: ProblemSetup,
-    cfg: OptimizerConfig,
-    cell: tuple[str, float, int],
-    trace: RunTrace | LeanTrace,
-    x_after: np.ndarray,
-    full_loss: float | None = None,
-) -> dict:
-    """The result of one (optimizer, alpha, seed) cell from its run, with its
-    trace files written when ``config.out`` is set.  ``full_loss`` is the
-    full-batch loss at ``x_after`` on a minibatch oracle."""
-    name, alpha, seed = cell
-    x_T = trace.x_T if isinstance(trace, LeanTrace) else trace.x[-1]
-    result = {
-        "optimizer": name,
-        "alpha": alpha,
-        "seed": seed,
-        "final_loss": float(trace.loss[-1]),
-        "final_x_norm": float(np.sqrt((x_T**2).sum())),
-    }
-    if x_T.size <= _SIDECAR_MAX_DIM:
-        result["final_x"] = x_T.tolist()
-
-    avg_series = None
-    if setup.oracle.known_optimum is not None:
-        avg_series = regret(trace, setup.oracle, setup.oracle.known_optimum).average
-        result["final_avg_regret"] = float(avg_series[-1])
-        if config.checkpoints:
-            result["avg_regret_at"] = {str(c): float(avg_series[c - 1]) for c in config.checkpoints}
-        selection = result["final_avg_regret"]
-    elif full_loss is not None:
-        result["final_full_loss"] = float(full_loss)
-        selection = result["final_full_loss"]
-    else:
-        selection = result["final_loss"]
-    result["selection_metric"] = float(selection)
-
-    if config.bound_eval:
-        result["bounds"] = _evaluate_bounds(trace, setup, cfg)
-
-    out = config.out
-    if out:
-        stem = f"{_safe_name(setup.name)}__{_safe_name(name)}__a{alpha:g}__s{seed}"
-        csv_path = Path(out) / f"{stem}.csv"
-        write_trace_csv(trace, csv_path, avg_series)
-        result["trace_csv"] = str(csv_path)
-        if trace.dim <= _SIDECAR_MAX_DIM:
-            npy_path = Path(out) / f"{stem}.npy"
-            write_trace_npy(trace, npy_path)
-            result["trace_npy"] = str(npy_path)
-    return result
+def _cell_results(config, setup, cfg, cell, seeds, runs, full_losses):
+    """Yield one (optimizer, alpha) cell's result per seed of its (trace,
+    x_after) ``runs``, with trace files under ``config.out``.  The seeds share
+    alpha_t, so their bounds and the CSV text of t and alpha_t are built once."""
+    name, alpha = cell
+    traces = tuple(trace for trace, _ in runs)
+    bounds = _evaluate_bounds(traces, setup, cfg) if config.bound_eval else None
+    row_text = csv_row_text(traces[0]) if config.out else None
+    for k, (seed, trace, full_loss) in enumerate(zip(seeds, traces, full_losses)):
+        x_T = trace.x_T if isinstance(trace, LeanTrace) else trace.x[-1]
+        result = {
+            "optimizer": name,
+            "alpha": alpha,
+            "seed": seed,
+            "final_loss": float(trace.loss[-1]),
+            "final_x_norm": float(np.sqrt((x_T**2).sum())),
+        }
+        if x_T.size <= _SIDECAR_MAX_DIM:
+            result["final_x"] = x_T.tolist()
+        avg_series = None
+        if setup.oracle.known_optimum is not None:
+            avg_series = regret(trace, setup.oracle, setup.oracle.known_optimum).average
+            result["final_avg_regret"] = float(avg_series[-1])
+            if config.checkpoints:
+                result["avg_regret_at"] = {str(c): float(avg_series[c - 1]) for c in config.checkpoints}
+            selection = result["final_avg_regret"]
+        elif full_loss is not None:
+            result["final_full_loss"] = float(full_loss)
+            selection = result["final_full_loss"]
+        else:
+            selection = result["final_loss"]
+        result["selection_metric"] = float(selection)
+        if config.bound_eval:
+            result["bounds"] = bounds[k]
+        out = config.out
+        if out:
+            stem = f"{_safe_name(setup.name)}__{_safe_name(name)}__a{alpha:g}__s{seed}"
+            csv_path = Path(out) / f"{stem}.csv"
+            write_trace_csv(trace, csv_path, avg_series, row_text)
+            result["trace_csv"] = str(csv_path)
+            if trace.dim <= _SIDECAR_MAX_DIM:
+                npy_path = Path(out) / f"{stem}.npy"
+                write_trace_npy(trace, npy_path)
+                result["trace_npy"] = str(npy_path)
+        yield result
 
 
-def _evaluate_bounds(trace: RunTrace, setup: ProblemSetup, cfg: OptimizerConfig) -> dict:
-    """Bound evaluation for the sum/stable engines (the family the analysis
-    covers); the closed-form bound additionally needs linear weights, the
-    fourth root, and strict momentum decay."""
+def _evaluate_bounds(traces: tuple[RunTrace, ...], setup: ProblemSetup, cfg: OptimizerConfig) -> list[dict]:
+    """Bound evaluation of one config's traces, one dict each, for the
+    sum/stable engines (the family the analysis covers); the closed-form bound
+    additionally needs linear weights, the fourth root, and strict momentum decay."""
     if cfg.engine not in ("wagmf_sum", "wagmf_stable"):
-        return {"skipped": f"engine {cfg.engine} is outside the analyzed family"}
+        return [{"skipped": f"engine {cfg.engine} is outside the analyzed family"} for _ in traces]
     d_inf = diameter_inf(setup.feasible)
     beta1 = cfg.momentum.beta1
     lam = cfg.momentum.lam
-    out = {"thm1": asdict(thm1_bound(trace, d_inf, beta1, lam))}
+    outs = [{"thm1": asdict(rep)} for rep in thm1_bound(traces, d_inf, beta1, lam)]
     if cfg.weight.kind == "linear" and cfg.p2 == 4 and lam < 1.0:
-        g_inf = float(np.abs(trace.g).max())
-        cor = corollary1_bound(trace.g, d_inf, g_inf, cfg.step.base_alpha, beta1, lam)
-        out["corollary1"] = {**asdict(cor), "g_inf": g_inf}
-    return out
+        for out, trace in zip(outs, traces):
+            g_inf = float(np.abs(trace.g).max())
+            cor = corollary1_bound(trace.g, d_inf, g_inf, cfg.step.base_alpha, beta1, lam)
+            out["corollary1"] = {**asdict(cor), "g_inf": g_inf}
+    return outs
 
 
 def _worker_count() -> int:
@@ -720,8 +725,10 @@ def run(config: ExperimentConfig) -> dict:
     and output is identical for any worker count and chunking.  Serial jobs
     share the problem that validation built (oracles hold no per-run state
     beyond caches keyed by the run's seed); pool workers build their own.
+    A config from ``parse_config`` hands its first run the problem it built.
     """
-    setup = validate_config(config)
+    problem, setup = vars(config).pop("_built", (None, None))
+    setup = validate_config(config, setup if problem == repr(config.problem) else None)
     if config.out:
         Path(config.out).mkdir(parents=True, exist_ok=True)
 

@@ -164,7 +164,7 @@ def _sum_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int
 
 
 def _sum_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    gam = schedules.per_round(schedules.gamma, cfg.weight, G.shape[0])
+    gam = schedules.gamma(cfg.weight, np.arange(1, G.shape[0] + 1))
     v = np.cumsum(gam[:, None] * abs_pow(G, cfg.p1), axis=0)
     V = root(v * (1.0 / np.cumsum(gam))[:, None], cfg.p2)
     finite = np.isfinite(V).all(axis=1)
@@ -309,16 +309,17 @@ def _descent(x: float, steps, lo: float | None, hi: float | None):
             yield x
 
 
-def _momentum_stream(G: np.ndarray, mom: MomentumSchedule, b1=None) -> np.ndarray:
-    """Array form of _momentum: m_t for every round of G (T, d), from m_0 = 0.
-    A caller that already holds the (T,) table of beta1_t passes it as
-    ``b1``; it is only read when lam < 1."""
+def _momentum_stream(G, mom: MomentumSchedule, b1=None) -> np.ndarray:
+    """Array form of _momentum: m_t for every round of G (T, d), or of a tuple
+    of them stacked by columns, from m_0 = 0.  A caller holding the (T,) table
+    of beta1_t passes it as ``b1``; it is only read when lam < 1."""
+    M = np.hstack(G) if isinstance(G, tuple) else np.array(G, dtype=np.float64)
     if mom.lam == 1.0:
         b1 = float(mom.beta1)
-        return _scan(b1, (1.0 - b1) * G)
-    if b1 is None:
-        b1 = schedules.per_round(schedules.beta1_at, mom, G.shape[0])
-    return _scan(b1, (1.0 - b1)[:, None] * G)
+    elif b1 is None:
+        b1 = schedules.per_round(schedules.beta1_at, mom, M.shape[0])
+    M *= np.reshape(1.0 - b1, (-1, 1))
+    return _scan(b1, M)
 
 
 def _directions(G: np.ndarray, cfg: OptimizerConfig):

@@ -895,14 +895,36 @@ def test_run_is_identical_across_worker_counts(monkeypatch, tmp_path):
     monkeypatch.delenv("WAGMF_THREADS", raising=False)
     serial = run(parse_config(raw))
     serial_files = files()
-    monkeypatch.setenv("WAGMF_THREADS", "2")
-    pooled = run(parse_config(raw))
-    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
-    assert files() == serial_files
+    for threads in ("2", "3"):
+        monkeypatch.setenv("WAGMF_THREADS", threads)
+        pooled = run(parse_config(raw))
+        assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+        assert files() == serial_files
     assert len(serial_files) == 1 + 2 * 6  # summary.json plus a CSV and a .npy per cell
     runs = serial["runs"]
     assert all("avg_regret_at" in r and "thm1" in r["bounds"] for r in runs)
     assert sum("corollary1" in r["bounds"] for r in runs) == 2
+
+    # a dim-5 bound_eval grid with trace files, whose configs replay momentum
+    # over S*d = 20 columns (steps._scan's row pass), at lambda 1 and 0.99
+    out = tmp_path / "wide"
+    for lam in (1.0, 0.99):
+        wide = dict(
+            raw,
+            problem={"kind": "quadratic", "dim": 5, "instance_seed": 1},
+            optimizers=[{"name": "wada", "alphas": [0.5]}, {"name": "adamnc", "alphas": [0.1, 0.2]}],
+            seeds=[0, 1, 2, 3],
+            overrides={"lambda": lam},
+            out=str(out),
+        )
+        monkeypatch.delenv("WAGMF_THREADS", raising=False)
+        serial = json.dumps(run(parse_config(wide)), sort_keys=True)
+        serial_files = files()
+        assert len(serial_files) == 1 + 2 * 12
+        for threads in ("2", "3"):
+            monkeypatch.setenv("WAGMF_THREADS", threads)
+            assert json.dumps(run(parse_config(wide)), sort_keys=True) == serial
+            assert files() == serial_files
 
 
 def test_cells_sharing_a_minibatch_oracle_match_fresh_ones():
