@@ -60,11 +60,12 @@ def project(fset: FeasibleSet, v_diag: np.ndarray, y: np.ndarray, out=None) -> n
     ``v_diag`` is accepted for interface completeness; boxes are clamped
     identically for every positive diagonal metric (see module docstring).
     The unconstrained set returns y unchanged.  ``out=y`` projects y in
-    place, as the step engine does every round.
+    place, as the step engine does every round.  ``y`` may also be a stack
+    of points, one per row.
     """
     if not fset.is_box:
         return y
-    if y.shape != fset.lo.shape:
+    if y.shape[-1:] != fset.lo.shape:
         raise DimMismatch(f"point has shape {y.shape}, box wants {fset.lo.shape}")
     return np.clip(y, fset.lo, fset.hi, out=out)
 

@@ -341,22 +341,27 @@ def _softmax_core(W, b, X, y, reg, grads):
     """
     C, k, d = W.shape
     m = X.shape[0]
+    cols = np.arange(m)
     Z = np.matmul(W, X.T)
     Z += b[:, :, None]
     Z -= Z.max(axis=1, keepdims=True)
-    P = np.exp(Z)
-    denom = P.sum(axis=1)
-    cols = np.arange(m)
+    z_y = np.take(Z.reshape(C, k * m), y * m + cols, axis=1)  # each label's logit
+    P = np.exp(Z, out=Z)
+    denom = np.add.reduce(P, axis=1)
     # cross-entropy: mean of log(denom) - z_y  (after max shift)
-    losses = np.mean(np.log(denom) - Z[:, y, cols], axis=1)
+    lse = np.log(denom)
+    lse -= z_y
+    losses = np.add.reduce(lse, axis=1) / m
     P /= denom[:, None, :]
-    P[:, y, cols] -= 1.0
+    one_hot = np.zeros((k, m))
+    one_hot[y, cols] = 1.0
+    P -= one_hot  # p - 0.0 is p: only the label entries change
     P /= m
     dW = grads[:, : k * d].reshape(C, k, d)
     np.matmul(P, X, out=dW)
-    np.sum(P, axis=2, out=grads[:, k * d :])
+    np.add.reduce(P, axis=2, out=grads[:, k * d :])
     if reg:
-        losses += reg * np.sum((W * W).reshape(C, k * d), axis=1)
+        losses += reg * np.add.reduce((W * W).reshape(C, k * d), axis=1)
         dW += (2.0 * reg) * W
     return losses
 

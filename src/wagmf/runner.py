@@ -15,11 +15,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import presets as presets_mod
+from . import schedules
 from .analysis import RunTrace, corollary1_bound, regret, students_t_test, thm1_bound
 from .errors import ConfigError, InsufficientSeeds, UnknownPreset, InvalidOverride, WagmfError
 from .feasible import FeasibleSet, diameter_inf
@@ -37,7 +39,7 @@ from .problems import (
     load_dataset,
 )
 from .schedules import exponential_weight_sum
-from .steps import OptimizerConfig, init_state, run_stream
+from .steps import OptimizerConfig, alpha_group, check_gradient, init_state, run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
 _CSV_ROW = "%s%.17g,%.17g,%.17g,%.17g%s"  # around the shared text of t and alpha_t
@@ -269,15 +271,19 @@ def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int], den
 def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...], dense: bool = True):
     """The per-round loop over the rows configs x seeds, configs outer.
     Each round makes one ``evaluate`` call on the (rows, d) stack of the
-    rows' points, so an oracle that draws runs one seed per loop.
+    rows' points, so an oracle that draws runs one seed per loop, and
+    checks that stack's gradients once.
 
-    Each config keeps one optimizer state over its S seeds' rows, of width
-    S*d, seed k in coordinates k*d ... k*d + d - 1, whose x is a view of
-    those rows of the stack, and steps it on the same rows of the gradient.
-    Every operation of ``steps.step`` is per coordinate, and its scalars
-    (alpha_t, beta1_t, the weight sum) are the same for every seed, so each
-    row's values are bit-identical to its own run's; and each config steps
-    through its own engine, so any mix of engines runs unchanged.
+    Each run of consecutive configs of one ``alpha_group`` (the grouping
+    ``run_stream`` uses) keeps one optimizer state of G rows, one per
+    config, each S*d wide with seed k in coordinates k*d ... k*d + d - 1.
+    Its x is a view of those rows of the stack, and it steps once per round
+    on the same rows of the gradient, with the round's (G, 1) column of step
+    sizes, each config's tabulated once by ``schedules.alpha``.  Every
+    operation of ``steps.step`` is per coordinate, and its scalars (beta1_t,
+    the weight sum) are the same for every row, so each row's values are
+    bit-identical to its own run's; and each group steps through its own
+    engine, so any mix of engines runs unchanged.
 
     Returns one (trace, x_after) pair per row.  Row r's per-round arrays are
     the contiguous slices [r] of (rows, T, ...) arrays; with ``dense=False``
@@ -287,7 +293,7 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
     X = np.stack([initial_point(setup, s) for _ in cfgs for s in seeds])
     R, d = X.shape
     losses = np.empty((R, T))
-    alphas = np.empty((len(cfgs), T))
+    alphas = [schedules.alpha(c.step, np.arange(1, T + 1)) for c in cfgs]
     if dense:
         xs = np.empty((R, T, d))
         gs = np.empty((R, T, d))
@@ -299,18 +305,24 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
         fset = FeasibleSet.box(np.tile(fset.lo, S), np.tile(fset.hi, S))
     by_cfg = (len(cfgs), S * d)  # config j's rows as row j of one reshape
     X_cfg = X.reshape(by_cfg)
-    states = []
-    for j, c in enumerate(cfgs):
-        state = init_state(X_cfg[j], c)
-        state.x = X_cfg[j]  # a view: steps update the stack in place
-        V_out = Vs[j * S : (j + 1) * S].swapaxes(0, 1) if dense else None
-        states.append((j, state, c, presets_mod.STEP_FN[c.engine], V_out, alphas[j]))
+    groups = []
+    j = 0
+    for _, members in groupby(cfgs, key=alpha_group):
+        c = cfgs[j]
+        rows = slice(j, j + len(list(members)))
+        state = init_state(X_cfg[rows], c)
+        state.x = X_cfg[rows]  # a view: steps update the stack in place
+        a_cols = np.stack(alphas[rows], axis=1)[:, :, None]  # (T, G, 1)
+        V_out = Vs[j * S : rows.stop * S].swapaxes(0, 1) if dense else None
+        groups.append((rows, state, c, presets_mod.STEP_FN[c.engine], V_out, a_cols))
+        j = rows.stop
     rng = RoundRng(seeds[0]) if S == 1 else None  # a stack of seeds draws nothing
     loss_rows = losses.swapaxes(0, 1)
     evaluate = setup.oracle.evaluate
     for t in range(1, T + 1):
         i = t - 1
         loss, g = evaluate(t, X, rng)
+        check_gradient(g.reshape(-1), t)
         loss_rows[i] = loss
         if dense:
             x_rows[i] = X
@@ -318,11 +330,10 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
         elif t == T:
             x_T = X.copy()
         g_cfg = g.reshape(by_cfg)
-        for j, state, c, step_fn, V_out, alpha_out in states:
-            step_fn(state, g_cfg[j], c, fset)
+        for rows, state, c, step_fn, V_out, a_cols in groups:
+            step_fn(state, g_cfg[rows], c, fset, a_cols[i])
             if dense:
-                V_out[i] = state.last_V.reshape(S, d)
-            alpha_out[i] = state.last_alpha
+                V_out[i] = state.last_V.reshape(-1, d)
     runs = []
     for r, s in enumerate(seeds * len(cfgs)):
         alpha = alphas[r // S].copy()

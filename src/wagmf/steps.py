@@ -89,7 +89,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state.  Owned by exactly one run; steps mutate it."""
+    """Mutable per-run state, owned by one run, or by a group of runs that
+    differ only in their step size, one per row; steps mutate it."""
 
     t: int
     x: np.ndarray
@@ -98,20 +99,28 @@ class OptimizerState:
     weight_sum: float
     v_hat: np.ndarray | None = None
     last_V: np.ndarray | None = None
-    last_alpha: float = 0.0
+    last_alpha: float | np.ndarray = 0.0
 
 
 def init_state(x0, cfg: OptimizerConfig) -> OptimizerState:
-    x = np.array(as_vector(x0), copy=True)
-    d = x.shape[0]
-    v_hat = np.zeros(d) if cfg.engine == "amsgrad" else None
-    return OptimizerState(t=0, x=x, m=np.zeros(d), v=np.zeros(d), weight_sum=0.0, v_hat=v_hat)
+    """A fresh state at x0: one run's point (d,), or a group's points as the
+    rows of a (G, n) array."""
+    x = np.array(x0 if np.ndim(x0) == 2 else as_vector(x0), dtype=np.float64)
+    v_hat = np.zeros_like(x) if cfg.engine == "amsgrad" else None
+    return OptimizerState(t=0, x=x, m=np.zeros_like(x), v=np.zeros_like(x), weight_sum=0.0, v_hat=v_hat)
 
 
-def _check_grad(g: np.ndarray, t: int) -> None:
+def alpha_group(cfg: OptimizerConfig) -> OptimizerConfig:
+    """``cfg`` without its step size: configs of one alpha group share their
+    momentum, preconditioner and directions, and differ only in alpha_t."""
+    return replace(cfg, step=None)
+
+
+def check_gradient(g: np.ndarray, t: int) -> None:
     """Raise NonFiniteGradient naming the round of the first non-finite row
-    of ``g``: one round's (d,) gradient at round t, or a stream's (T, d)
-    gradients from round t."""
+    of ``g``: one round's gradient at round t, flat (one run's (d,), or the
+    raveled rows of a stack of runs), or a stream's (T, d) gradients from
+    round t."""
     finite = np.isfinite(g)
     if not finite.all():
         rows = finite.reshape(-1, g.shape[-1]).all(axis=1)
@@ -241,14 +250,23 @@ def _tail(cfg: OptimizerConfig, g: np.ndarray, m, V, bias1):
 
 
 def step(
-    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet
+    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet, a_t=None
 ) -> OptimizerState:
     """One round of ``cfg.engine`` on gradient ``g``.  Mutates and returns
-    ``state``."""
+    ``state``.
+
+    Without ``a_t`` the state is one run's (d,) arrays: the step checks
+    ``g`` and takes alpha_t = ``schedules.alpha(cfg.step, t)``.  A group of
+    runs that differ only in their step size steps as one 2-d state (G, n),
+    one run per row, with ``a_t`` the round's (G, 1) column of step sizes.
+    Every operation is per coordinate and the other scalars (beta1_t, the
+    weight sum) are shared by the rows, so each row is bit-identical to its
+    own run.  That caller checks the round's gradients itself."""
     t = state.t + 1
-    _check_grad(g, t)
+    if a_t is None:
+        check_gradient(g, t)
+        a_t = schedules.alpha(cfg.step, t)
     m = _momentum(state, g, cfg.momentum, t)
-    a_t = schedules.alpha(cfg.step, t)
     rule = _RULES[cfg.engine][0]
     V = rule(state, g, cfg, t) if rule else None
     bias1 = _bias(cfg.momentum.beta1, t) if cfg.bias_correction else None
@@ -363,13 +381,13 @@ def run_stream(x1, G: np.ndarray, cfg, fset: FeasibleSet):
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     x1 = as_vector(x1)
     G = np.asarray(G, dtype=np.float64)
-    _check_grad(G, 1)
+    check_gradient(G, 1)
     T, d = G.shape
     rounds = np.arange(1, T + 1)
-    directions = {}  # each config apart from its step size -> (V, U)
+    directions = {}  # alpha_group -> (V, U)
     runs = []
     for c in cfgs:
-        key = replace(c, step=None)
+        key = alpha_group(c)
         if key not in directions:
             directions[key] = _directions(G, c)
         V, U = directions[key]

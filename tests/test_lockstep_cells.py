@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wagmf import presets, runner
+from wagmf import presets, runner, schedules
 from wagmf.errors import NonFiniteGradient
 from wagmf.problems import MinibatchOracle, RoundRng, SoftmaxObjective, gaussian_blobs
 from wagmf.runner import LeanTrace, build_problem, parse_config, run, run_rounds
@@ -50,7 +50,7 @@ def reference_core(W, b, X, y, reg):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    k=st.integers(2, 11),
+    k=st.integers(1, 11),
     d=st.integers(1, 40),
     batch=st.integers(1, 40),
     batches=st.integers(1, 4),
@@ -62,6 +62,9 @@ def reference_core(W, b, X, y, reg):
 )
 @example(k=3, d=2, batch=1, batches=3, short=0, C=4, reg=0.0, scale=0.3, seed=1)  # m = 1
 @example(k=4, d=5, batch=7, batches=2, short=1, C=3, reg=0.5, scale=1e3, seed=2)  # last batch of 1
+@example(k=1, d=3, batch=5, batches=2, short=2, C=3, reg=1e-3, scale=0.3, seed=4)  # one class
+# exp underflows to exactly 0 on 147 logits of the first batch and 25 of the last
+@example(k=6, d=12, batch=16, batches=2, short=3, C=2, reg=0.0, scale=1e3, seed=7)
 def test_stacked_core_equals_per_point_calls(k, d, batch, batches, short, C, reg, scale, seed):
     # n is not a multiple of the batch when short > 0, so the epoch's last
     # batch is short; scale 1e3 makes logits in the thousands, where only
@@ -164,6 +167,97 @@ def test_lockstep_cells_match_their_own_runs(label):
         assert same_bits(run_rounds(setup, cfg, T, seed, dense=False)[0].loss, ref.loss)
 
 
+def count_steps(monkeypatch) -> list:
+    """Wrap every engine's entry of ``presets.STEP_FN`` with a counter; the
+    returned list holds one entry per step call."""
+    calls = []
+    for engine, fn in list(presets.STEP_FN.items()):
+
+        def counted(*args, fn=fn, engine=engine):
+            calls.append(engine)
+            return fn(*args)
+
+        monkeypatch.setitem(presets.STEP_FN, engine, counted)
+    return calls
+
+
+# every case above with an alpha grid of two or three step sizes, adagrad
+# directly before rmsprop_avg (the same configuration, so one group), two
+# constant-step cases, then adam, wada, adam: a repeat that is not adjacent
+GRID_NAMES = sorted(set(presets._TABLE) - {"rmsprop_avg"})
+GRID_NAMES.insert(GRID_NAMES.index("adagrad") + 1, "rmsprop_avg")
+GRID_CASES = [(name, {}) for name in GRID_NAMES] + CASES[len(presets._TABLE) :] + [
+    ("adam", {"step_kind": "constant"}),
+    ("wada", {"step_kind": "constant"}),
+]
+GRID_CONFIGS = tuple(
+    presets.make_preset(name, alpha, o)
+    for k, (name, o) in enumerate(GRID_CASES)
+    for alpha in (0.02, 0.05, 0.1)[: 2 + k % 2]
+) + tuple(presets.make_preset(name, a) for name, a in (("adam", 0.07), ("wada", 0.07), ("adam", 0.03)))
+GRID_GROUPS = len(GRID_CASES) - 1 + 3  # adagrad and rmsprop_avg share one
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("label", SETUPS)
+def test_alpha_groups_match_their_own_runs(monkeypatch, label, S):
+    # each run of configs equal apart from alpha steps as one state; every
+    # pair's trace must still be its own run's, bit for bit
+    setup = SETUPS[label]
+    seeds = (3, 11, 0)[:S]
+    calls = count_steps(monkeypatch)
+    dense = run_rounds(setup, GRID_CONFIGS, T, seeds)
+    draws = setup.oracle.stochastic  # one loop per seed
+    assert len(calls) == GRID_GROUPS * T * (S if draws else 1)
+    lean = run_rounds(setup, GRID_CONFIGS, T, seeds, dense=False)
+    pairs = [(cfg, seed) for cfg in GRID_CONFIGS for seed in seeds]
+    assert len(dense) == len(lean) == len(pairs)
+    for (cfg, seed), (trace, x_after), (record, x_lean) in zip(pairs, dense, lean):
+        ref, x_ref = run_rounds(setup, cfg, T, seed)
+        for f in ("x", "g", "V", "loss", "alpha"):
+            assert same_bits(getattr(trace, f), getattr(ref, f)), (cfg, seed, f)
+        assert same_bits(trace.alpha, schedules.per_round(schedules.alpha, cfg.step, T))
+        assert same_bits(x_after, x_ref) and same_bits(x_lean, x_ref)
+        assert same_bits(record.loss, ref.loss) and same_bits(record.alpha, ref.alpha)
+        assert same_bits(record.x_T, ref.x[-1])
+
+
+def test_step_calls_count_groups_not_configs(monkeypatch):
+    # the benchmark's softmax grid: adam and wada with two alphas each, one
+    # seed, so two steps and one evaluate per round
+    monkeypatch.delenv("WAGMF_THREADS", raising=False)
+    raw = {
+        "problem": {
+            "kind": "softmax",
+            "data": {"blobs": {"n": 4000, "d": 64, "k": 10, "seed": 5}},
+            "batch_size": 256,
+        },
+        "T": 50,
+        "seeds": [9],
+        "optimizers": [
+            {"name": "adam", "alphas": [0.01, 0.03]},
+            {"name": "wada", "alphas": [0.003, 0.01]},
+        ],
+    }
+    config = parse_config(raw)
+    evaluate = MinibatchOracle.evaluate
+    evaluations = []
+
+    def counted(self, *args):
+        evaluations.append(args[0])
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(MinibatchOracle, "evaluate", counted)
+    calls = count_steps(monkeypatch)
+    assert len(run(config)["runs"]) == 4
+    assert calls == ["ema", "wagmf_stable"] * 50 and evaluations == list(range(1, 51))
+    # four engines are four groups
+    del calls[:]
+    cfgs = tuple(presets.make_preset(name, 0.1) for name in ("adam", "wada", "amsgrad", "sgd"))
+    run_rounds(SETUPS["quadratic-unconstrained"], cfgs, T, (0, 1))
+    assert len(calls) == 4 * T
+
+
 @pytest.mark.parametrize(
     "problem",
     [{"kind": "reddi_stochastic"}, {"kind": "softmax", "data": softmax_problem()["data"]}],
@@ -263,6 +357,29 @@ def test_lockstep_error_names_the_first_failing_cell(monkeypatch, threads):
     else:
         monkeypatch.delenv("WAGMF_THREADS", raising=False)
     message = r"^sgd at alpha 1e\+10, seed 0: gradient contains NaN or Inf at round 37$"
+    with pytest.raises(NonFiniteGradient, match=message):
+        run(parse_config(raw))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("alphas", [[1.0, 1e10], [1e10, 1.0]], ids=["second-fails", "first-fails"])
+def test_alpha_group_error_names_the_failing_alpha(monkeypatch, threads, alphas):
+    # the two alphas of sgd step as one state; alpha 1e10 diverges and its
+    # gradient is no longer finite at round 36, alpha 1 converges
+    problem = QUAD | {"x0": [0.9, -0.9, 0.0], "feasible": "unconstrained"}
+    raw = {"problem": problem, "T": 60, "seeds": [0, 1], "optimizers": [{"name": "sgd", "alphas": alphas}]}
+    setup = build_problem(problem)
+    cfgs = tuple(presets.make_preset("sgd", alpha) for alpha in alphas)
+    with pytest.raises(NonFiniteGradient) as first:
+        run_rounds(setup, cfgs, 60, (0, 1))
+    assert first.value.pair == 2 * alphas.index(1e10)  # that alpha's seed 0
+    if threads:
+        monkeypatch.setenv("WAGMF_THREADS", threads)
+    else:
+        monkeypatch.delenv("WAGMF_THREADS", raising=False)
+    message = r"^sgd at alpha 1e\+10, seed 0: gradient contains NaN or Inf at round 36$"
     with pytest.raises(NonFiniteGradient, match=message):
         run(parse_config(raw))
 
