@@ -15,7 +15,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .problems import (
     load_dataset,
 )
 from .schedules import exponential_weight_sum
-from .steps import OptimizerConfig, alpha_group, check_gradient, init_state, run_stream
+from .steps import OptimizerConfig, alpha_groups, check_gradient, init_state, run_stream
 
 TRACE_HEADER = "t,loss,avg_regret,x_norm,g_norm,alpha_t"
 _CSV_ROW = "%s%.17g,%.17g,%.17g,%.17g%s"  # around the shared text of t and alpha_t
@@ -183,9 +182,9 @@ def initial_point(setup: ProblemSetup, seed: int) -> np.ndarray:
 
 @dataclass
 class LeanTrace:
-    """What a cell's result reads when no output needs the dense x, g and V:
-    the per-round loss and alpha, and x_T, the iterate the last loss was
-    charged at."""
+    """What a cell's result reads when no output needs the dense x, g and V,
+    as the per-round loop records it: the per-round loss and alpha, and x_T,
+    the iterate the last loss was charged at."""
 
     loss: np.ndarray
     alpha: np.ndarray
@@ -205,8 +204,10 @@ def run_rounds(
 
     Returns (trace, x_after): the full in-memory trace plus the point held
     after the final update (the trace's x column stops at x_T, the iterate
-    the last loss was charged at).  With ``dense=False`` the trace is a
-    ``LeanTrace``, and the per-round loop records no x, g or V.
+    the last loss was charged at).  ``dense`` only reaches the per-round
+    loop: with ``dense=False`` it records no x, g or V and returns a
+    ``LeanTrace``.  The array path always returns a full ``RunTrace``, which
+    costs it nothing (x is a view of the path, g and V are shared).
 
     Given a tuple of configs (``cfg``) and/or of seeds, returns one
     (trace, x_after) pair per (config, seed), configs outer, each
@@ -224,14 +225,14 @@ def run_rounds(
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     oracle = setup.oracle
-    loop = _array_path if oracle.linear else _round_loop
+    loop = _array_path if oracle.linear else (lambda *args: _round_loop(*args, dense))
     runs = None
     try:
         if oracle.linear or oracle.stochastic:  # the rows of a seed share its draws
-            by_seed = [loop(setup, cfgs, T, (s,), dense) for s in seeds]
+            by_seed = [loop(setup, cfgs, T, (s,)) for s in seeds]
             runs = [rows[k] for k in range(len(cfgs)) for rows in by_seed]
         else:
-            runs = loop(setup, cfgs, T, seeds, dense)
+            runs = loop(setup, cfgs, T, seeds)
     except WagmfError as e:
         if len(cfgs) * len(seeds) == 1:
             e.pair = 0
@@ -241,16 +242,16 @@ def run_rounds(
         for c in cfgs:
             for s in seeds:
                 try:
-                    runs.extend(loop(setup, (c,), T, (s,), dense))
+                    runs.extend(loop(setup, (c,), T, (s,)))
                 except WagmfError as e:
                     e.pair = len(runs)
                     raise
     return runs if isinstance(cfg, tuple) or isinstance(seed, tuple) else runs[0]
 
 
-def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int], dense: bool):
+def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int]):
     """One seed on a linear oracle: its gradient stream drawn once and run
-    by every config through ``steps.run_stream``.  Returns one (trace,
+    by every config through ``steps.run_stream``.  Returns one (RunTrace,
     x_after) pair per config; their traces share the read-only g array, and
     V within each group that ``run_stream`` builds once."""
     (seed,) = seeds
@@ -259,31 +260,26 @@ def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int], den
     runs = []
     for path, Vs, alphas in run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible):
         xs = path[:T]
-        losses = linear_loss(gs, xs)
-        if dense:
-            trace = RunTrace(xs, gs, losses, alphas, Vs, seed=seed)
-        else:
-            trace = LeanTrace(losses, alphas, xs[-1].copy(), seed=seed)
-        runs.append((trace, path[T].copy()))
+        runs.append((RunTrace(xs, gs, linear_loss(gs, xs), alphas, Vs, seed=seed), path[T].copy()))
     return runs
 
 
 def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...], dense: bool = True):
-    """The per-round loop over the rows configs x seeds, configs outer.
-    Each round makes one ``evaluate`` call on the (rows, d) stack of the
-    rows' points, so an oracle that draws runs one seed per loop, and
-    checks that stack's gradients once.
+    """The per-round loop over the rows configs x seeds, configs outer, each
+    row one (config, seed) run.  Each round makes one ``evaluate`` call on
+    the (rows, d) stack X of the rows' points, so an oracle that draws runs
+    one seed per loop, and checks that stack's gradients once.
 
-    Each run of consecutive configs of one ``alpha_group`` (the grouping
-    ``run_stream`` uses) keeps one optimizer state of G rows, one per
-    config, each S*d wide with seed k in coordinates k*d ... k*d + d - 1.
-    Its x is a view of those rows of the stack, and it steps once per round
-    on the same rows of the gradient, with the round's (G, 1) column of step
-    sizes, each config's tabulated once by ``schedules.alpha``.  Every
-    operation of ``steps.step`` is per coordinate, and its scalars (beta1_t,
-    the weight sum) are the same for every row, so each row's values are
-    bit-identical to its own run's; and each group steps through its own
-    engine, so any mix of engines runs unchanged.
+    Each run of consecutive configs equal apart from alpha
+    (``steps.alpha_groups``, the grouping ``run_stream`` uses) keeps one
+    optimizer state: its x is the view of its rows of X, and it steps once
+    per round on the same rows of the gradient, with the same rows of the
+    round's column of step sizes, each config's tabulated once by
+    ``schedules.alpha``.  Every operation of ``steps.step`` is per
+    coordinate, and its scalars (beta1_t, the weight sum) are the same for
+    every row, so each row's values are bit-identical to its own run's; and
+    each group steps through its own engine, so any mix of engines runs
+    unchanged.
 
     Returns one (trace, x_after) pair per row.  Row r's per-round arrays are
     the contiguous slices [r] of (rows, T, ...) arrays; with ``dense=False``
@@ -293,29 +289,21 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
     X = np.stack([initial_point(setup, s) for _ in cfgs for s in seeds])
     R, d = X.shape
     losses = np.empty((R, T))
-    alphas = [schedules.alpha(c.step, np.arange(1, T + 1)) for c in cfgs]
+    rounds = np.arange(1, T + 1)
+    A = np.repeat([schedules.alpha(c.step, rounds) for c in cfgs], S, axis=0)  # (R, T)
     if dense:
         xs = np.empty((R, T, d))
         gs = np.empty((R, T, d))
         Vs = np.empty((R, T, d))
         # views indexed round first
-        x_rows, g_rows = xs.swapaxes(0, 1), gs.swapaxes(0, 1)
-    fset = setup.feasible
-    if S > 1 and fset.is_box:
-        fset = FeasibleSet.box(np.tile(fset.lo, S), np.tile(fset.hi, S))
-    by_cfg = (len(cfgs), S * d)  # config j's rows as row j of one reshape
-    X_cfg = X.reshape(by_cfg)
+        x_rows, g_rows, V_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs))
     groups = []
-    j = 0
-    for _, members in groupby(cfgs, key=alpha_group):
-        c = cfgs[j]
-        rows = slice(j, j + len(list(members)))
-        state = init_state(X_cfg[rows], c)
-        state.x = X_cfg[rows]  # a view: steps update the stack in place
-        a_cols = np.stack(alphas[rows], axis=1)[:, :, None]  # (T, G, 1)
-        V_out = Vs[j * S : rows.stop * S].swapaxes(0, 1) if dense else None
-        groups.append((rows, state, c, presets_mod.STEP_FN[c.engine], V_out, a_cols))
-        j = rows.stop
+    for group in alpha_groups(cfgs):
+        c = cfgs[group.start]
+        rows = slice(group.start * S, group.stop * S)
+        state = init_state(X[rows], c)
+        state.x = X[rows]  # a view: steps update the stack in place
+        groups.append((rows, state, c, presets_mod.STEP_FN[c.engine]))
     rng = RoundRng(seeds[0]) if S == 1 else None  # a stack of seeds draws nothing
     loss_rows = losses.swapaxes(0, 1)
     evaluate = setup.oracle.evaluate
@@ -329,18 +317,16 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
             g_rows[i] = g
         elif t == T:
             x_T = X.copy()
-        g_cfg = g.reshape(by_cfg)
-        for rows, state, c, step_fn, V_out, a_cols in groups:
-            step_fn(state, g_cfg[rows], c, fset, a_cols[i])
+        for rows, state, c, step_fn in groups:
+            step_fn(state, g[rows], c, setup.feasible, A[rows, i, None])
             if dense:
-                V_out[i] = state.last_V.reshape(-1, d)
+                V_rows[i, rows] = state.last_V
     runs = []
     for r, s in enumerate(seeds * len(cfgs)):
-        alpha = alphas[r // S].copy()
         if dense:
-            trace = RunTrace(xs[r], gs[r], losses[r], alpha, Vs[r], seed=s)
+            trace = RunTrace(xs[r], gs[r], losses[r], A[r], Vs[r], seed=s)
         else:
-            trace = LeanTrace(losses[r], alpha, x_T[r], seed=s)
+            trace = LeanTrace(losses[r], A[r], x_T[r], seed=s)
         runs.append((trace, X[r].copy()))
     return runs
 
@@ -560,6 +546,9 @@ def validate_config(cfg: ExperimentConfig, setup: ProblemSetup | None = None) ->
         raise ConfigError("bound_eval needs a bounded feasible set")
     if cfg.significance and len(cfg.seeds) < 2:
         raise ConfigError("significance testing needs at least two seeds")
+    if cfg.checkpoints and setup.oracle.known_optimum is None:
+        # checkpoints record the average regret, which needs the optimum
+        raise ConfigError("checkpoints need a problem with a known optimum")
     return setup
 
 

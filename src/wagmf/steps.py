@@ -15,9 +15,10 @@ The rule is the one per-engine part (``_RULES``):
   v_t = (1 - 2/(t+1)) v_{t-1} + (2/(t+1)) |g_t|^p1,  V_t = v_t^(1/4),
   which equals the wagmf_sum rule with gamma_t = t and p2 = 4 but never
   accumulates the O(t^2) raw sum.
-* ``ema`` and ``amsgrad`` keep v_t = beta2 v_{t-1} + (1-beta2) g_t^2 and take
-  V_t = sqrt(v_t), of the running max of v_t for amsgrad; with
+* ``ema`` and ``amsgrad`` keep v_t = beta2 v_{t-1} + (1-beta2) |g_t|^p1 and
+  take V_t = v_t^(1/p2), of the running max of v_t for amsgrad; with
   ``bias_correction`` v_t is divided by 1 - beta2^t and m_t by 1 - beta1^t.
+  The presets use p1 = p2 = 2, the Adam and AMSGrad rules.
 * ``sign`` and ``plain_sgd`` have no rule: they step by alpha_t sign(g_t)
   and alpha_t m_t, and record V_t = |g_t| and V_t = 1.
 
@@ -89,8 +90,9 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state, owned by one run, or by a group of runs that
-    differ only in their step size, one per row; steps mutate it."""
+    """Mutable optimizer state, owned by one run, or by a group of runs that
+    differ only in their step size or start, one run per row; steps mutate
+    it."""
 
     t: int
     x: np.ndarray
@@ -104,16 +106,19 @@ class OptimizerState:
 
 def init_state(x0, cfg: OptimizerConfig) -> OptimizerState:
     """A fresh state at x0: one run's point (d,), or a group's points as the
-    rows of a (G, n) array."""
+    rows of a (rows, d) array, one run per row."""
     x = np.array(x0 if np.ndim(x0) == 2 else as_vector(x0), dtype=np.float64)
     v_hat = np.zeros_like(x) if cfg.engine == "amsgrad" else None
     return OptimizerState(t=0, x=x, m=np.zeros_like(x), v=np.zeros_like(x), weight_sum=0.0, v_hat=v_hat)
 
 
-def alpha_group(cfg: OptimizerConfig) -> OptimizerConfig:
-    """``cfg`` without its step size: configs of one alpha group share their
+def alpha_groups(cfgs) -> list[slice]:
+    """The runs of consecutive configs of ``cfgs`` that are equal apart from
+    their step size, as slices in order.  A run's configs share their
     momentum, preconditioner and directions, and differ only in alpha_t."""
-    return replace(cfg, step=None)
+    keys = [replace(c, step=None) for c in cfgs]
+    edges = [0, *(k for k in range(1, len(keys)) if keys[k] != keys[k - 1]), len(keys)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def check_gradient(g: np.ndarray, t: int) -> None:
@@ -200,22 +205,22 @@ def _ema_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int
     beta2 = cfg.weight.beta2
     v = state.v
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
+    v += (1.0 - beta2) * abs_pow(g, cfg.p1)
     if cfg.engine == "amsgrad":
         v = np.maximum(state.v_hat, v, out=state.v_hat)
     if cfg.bias_correction:
         v = v / _bias(beta2, t)
-    return np.sqrt(v)
+    return root(v, cfg.p2)
 
 
 def _ema_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     beta2 = cfg.weight.beta2
-    v = _scan(float(beta2), (1.0 - beta2) * (G * G))
+    v = _scan(float(beta2), (1.0 - beta2) * abs_pow(G, cfg.p1))
     if cfg.engine == "amsgrad":
         v = np.maximum.accumulate(v, axis=0)
     if cfg.bias_correction:
         v = v / schedules.per_round(_bias, beta2, G.shape[0])[:, None]
-    return np.sqrt(v)
+    return root(v, cfg.p2)
 
 
 # engine -> (per-round rule, array form); sign and plain_sgd build no V_t
@@ -257,8 +262,9 @@ def step(
 
     Without ``a_t`` the state is one run's (d,) arrays: the step checks
     ``g`` and takes alpha_t = ``schedules.alpha(cfg.step, t)``.  A group of
-    runs that differ only in their step size steps as one 2-d state (G, n),
-    one run per row, with ``a_t`` the round's (G, 1) column of step sizes.
+    runs that differ only in their step size (or their start, or both)
+    steps as one (rows, d) state, one run per row, on the (rows, d)
+    gradients, with ``a_t`` the round's (rows, 1) column of step sizes.
     Every operation is per coordinate and the other scalars (beta1_t, the
     weight sum) are shared by the rows, so each row is bit-identical to its
     own run.  That caller checks the round's gradients itself."""
@@ -359,8 +365,9 @@ def run_stream(x1, G: np.ndarray, cfg, fset: FeasibleSet):
     gradient stream fixed in advance.
 
     For oracles whose g_t does not depend on x_t.  m_t, v_t, V_t and the
-    directions m_t / V_t are built as arrays, once for each group of configs
-    that are equal apart from their step size; per config there remain only
+    directions m_t / V_t are built as arrays, once for each run of
+    consecutive configs that are equal apart from their step size
+    (``alpha_groups``); per config there remain only
     alpha_t (``schedules.alpha`` on the array of rounds), the steps
     s_t = alpha_t * m_t / V_t and the clipped running sum
     x_{t+1} = clip(x_t - s_t, lo, hi), one scalar pass per coordinate.  The
@@ -384,19 +391,16 @@ def run_stream(x1, G: np.ndarray, cfg, fset: FeasibleSet):
     check_gradient(G, 1)
     T, d = G.shape
     rounds = np.arange(1, T + 1)
-    directions = {}  # alpha_group -> (V, U)
     runs = []
-    for c in cfgs:
-        key = alpha_group(c)
-        if key not in directions:
-            directions[key] = _directions(G, c)
-        V, U = directions[key]
-        alphas = schedules.alpha(c.step, rounds)
-        steps = alphas[:, None] * U
-        path = np.empty((T + 1, d))
-        for j in range(d):
-            lo, hi = (float(fset.lo[j]), float(fset.hi[j])) if fset.is_box else (None, None)
-            xs = _descent(float(x1[j]), memoryview(steps[:, j]), lo, hi)
-            path[:, j] = np.fromiter(xs, np.float64, T + 1)
-        runs.append((path, V, alphas))
+    for group in alpha_groups(cfgs):
+        V, U = _directions(G, cfgs[group.start])
+        for c in cfgs[group]:
+            alphas = schedules.alpha(c.step, rounds)
+            steps = alphas[:, None] * U
+            path = np.empty((T + 1, d))
+            for j in range(d):
+                lo, hi = (float(fset.lo[j]), float(fset.hi[j])) if fset.is_box else (None, None)
+                xs = _descent(float(x1[j]), memoryview(steps[:, j]), lo, hi)
+                path[:, j] = np.fromiter(xs, np.float64, T + 1)
+            runs.append((path, V, alphas))
     return runs if isinstance(cfg, tuple) else runs[0]

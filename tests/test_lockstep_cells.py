@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wagmf import presets, runner, schedules
+from wagmf.analysis import RunTrace
 from wagmf.errors import NonFiniteGradient
 from wagmf.problems import MinibatchOracle, RoundRng, SoftmaxObjective, gaussian_blobs
 from wagmf.runner import LeanTrace, build_problem, parse_config, run, run_rounds
@@ -118,6 +119,10 @@ SETUPS = {
     "box": build_problem(softmax_problem(feasible={"lo": [-0.05] * 16, "hi": [0.05] * 16})),
     # x* outside the default box [-1, 1] in two coordinates, x0 drawn per seed
     "quadratic-box-random-x0": build_problem(QUAD),
+    # bounds differ per coordinate, and x* lies outside them in the first two
+    "quadratic-uneven-box-random-x0": build_problem(
+        QUAD | {"feasible": {"lo": [-1.0, -0.2, 0.5], "hi": [0.3, 1.0, 2.5]}}
+    ),
     "quadratic-unconstrained": build_problem(QUAD | {"x0": [0.9, -0.9, 0.0], "feasible": "unconstrained"}),
     # a config's softmax x0 is fixed, so the per-seed x0 is set on the setup
     "full-batch-box-random-x0": dataclasses.replace(
@@ -264,10 +269,17 @@ def test_step_calls_count_groups_not_configs(monkeypatch):
     ids=["array-path", "full-batch"],
 )
 def test_lean_records_match_dense_ones_off_the_lockstep_path(problem):
-    # the linear array path and the one-row loop keep the same columns
+    # the one-row loop keeps the same columns; the linear array path returns
+    # its full record, the dense run's bit for bit, whatever ``dense`` is
     setup = build_problem(problem)
     cfg = presets.make_preset("wada", 0.1)
     (ref, x_ref), (record, x_after) = (run_rounds(setup, cfg, 40, 2, dense=d) for d in (True, False))
+    if setup.oracle.linear:
+        assert isinstance(record, RunTrace) and record.seed == 2
+        for f in ("x", "g", "V", "loss", "alpha"):
+            assert same_bits(getattr(record, f), getattr(ref, f)), f
+        assert same_bits(x_after, x_ref)
+        return
     assert isinstance(record, LeanTrace) and record.seed == 2
     assert same_bits(record.loss, ref.loss) and same_bits(record.alpha, ref.alpha)
     assert same_bits(record.x_T, ref.x[-1]) and same_bits(x_after, x_ref)

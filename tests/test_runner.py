@@ -620,6 +620,14 @@ def test_validate_config_checks_presets_and_modes():
         )
     with pytest.raises(ConfigError):
         parse_config(minimal_raw(significance=True, seeds=[0]))
+    with pytest.raises(ConfigError, match="checkpoints need a problem with a known optimum"):
+        # checkpoints record the average regret, which softmax cannot
+        parse_config(
+            minimal_raw(
+                problem={"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2}}},
+                checkpoints=[10],
+            )
+        )
     setup = validate_config(parse_config(minimal_raw()))
     assert setup.oracle.dim == 2
 

@@ -27,9 +27,12 @@ CASES += [("adam", {"bias_correction": True}), ("amsgrad", {"bias_correction": T
 
 # x* lies outside the default box [-1, 1] in two coordinates, so the box clips
 QUAD = {"kind": "quadratic", "a_diag": [1.0, 4.0, 0.25], "x_star": [0.5, -1.5, 2.0]}
+UNEVEN_BOX = {"lo": [-1.0, -0.2, 0.5], "hi": [0.3, 1.0, 2.5]}
 SETUPS = {
     "box-x0": build_problem(QUAD | {"x0": [0.9, -0.9, 0.0]}),
     "box-random-x0": build_problem(QUAD),
+    # bounds differ per coordinate, and x* lies outside them in the first two
+    "uneven-box-random-x0": build_problem(QUAD | {"feasible": UNEVEN_BOX}),
     "unconstrained-x0": build_problem(QUAD | {"x0": [0.9, -0.9, 0.0], "feasible": "unconstrained"}),
 }
 

@@ -35,11 +35,15 @@ def cfg_stable(beta1=0.9, p1=2, eps=0.0, alpha=1.0, kind="constant"):
     )
 
 
-def cfg_generic(engine, beta1=0.9, beta2=0.999, eps=0.0, alpha=1.0, kind="constant", bias=False):
+def cfg_generic(
+    engine, beta1=0.9, beta2=0.999, eps=0.0, alpha=1.0, kind="constant", bias=False, p1=2, p2=2
+):
     return OptimizerConfig(
         weight=WeightSchedule.exponential(beta2),
         step=StepSizeSchedule(alpha, kind),
         momentum=MomentumSchedule(beta1),
+        p1=p1,
+        p2=p2,
         epsilon=eps,
         engine=engine,
         bias_correction=bias,
@@ -137,19 +141,28 @@ def test_equal_weights_reproduce_adagrad_reference():
     assert np.allclose(st.x, x_ref, rtol=1e-12, atol=0)
 
 
-def test_ema_recursion_matches_explicit_weighted_sums():
+@pytest.mark.parametrize("p1,p2", [(2, 2), (3, 3), (4, 2)])
+def test_ema_recursion_matches_explicit_weighted_sums(p1, p2):
     beta2 = 0.9
     gs = [1.5, -0.3, 2.0, 0.7, -1.2]
-    cfg = cfg_generic("ema", beta1=0.0, beta2=beta2)
+    cfg = cfg_generic("ema", beta1=0.0, beta2=beta2, p1=p1, p2=p2)
     st = init_state([0.0], cfg)
+    cfg_a = cfg_generic("amsgrad", beta1=0.0, beta2=beta2, p1=p1, p2=p2)
+    sa = init_state([0.0], cfg_a)
+    peak = 0.0
     # sum path with gamma_t = (1/beta2)^t
-    cfg_s = cfg_sum(weight=WeightSchedule.exponential(beta2), beta1=0.0)
+    cfg_s = cfg_sum(weight=WeightSchedule.exponential(beta2), beta1=0.0, p1=p1, p2=p2)
     ss = init_state([0.0], cfg_s)
     for t, g in enumerate(gs, start=1):
         step(st, np.array([g]), cfg, FREE)
         step(ss, np.array([g]), cfg_s, FREE)
-        explicit = (1 - beta2) * sum(beta2 ** (t - i) * gi**2 for i, gi in enumerate(gs[:t], 1))
+        step(sa, np.array([g]), cfg_a, FREE)
+        explicit = (1 - beta2) * sum(beta2 ** (t - i) * abs(gi) ** p1 for i, gi in enumerate(gs[:t], 1))
         assert st.v[0] == pytest.approx(explicit, rel=1e-14)
+        assert st.last_V[0] == pytest.approx(explicit ** (1 / p2), rel=1e-14)
+        # amsgrad takes the same root of the running max
+        peak = max(peak, explicit)
+        assert sa.last_V[0] == pytest.approx(peak ** (1 / p2), rel=1e-14)
         # the normalized weighted average is the EMA with the bias 1-beta2^t divided out
         avg = ss.v[0] * (1.0 / ss.weight_sum)
         assert avg == pytest.approx(st.v[0] / (1 - beta2**t), rel=1e-13)
