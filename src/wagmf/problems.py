@@ -42,7 +42,8 @@ class RoundRng:
     keyed by the seed, served from a lazily grown cache, so round t's value
     ``uniforms(T)[t - 1]`` (any T >= t) is a pure function of (seed, t).
     ``child(k)`` derives an independent generator keyed by (seed, k) for
-    bulk draws such as epoch permutations.
+    bulk draws, and ``permutation(k, n)`` caches its last permutation of
+    range(n), an epoch's batch order, so oracles hold no per-run state.
     """
 
     def __init__(self, seed: int):
@@ -51,6 +52,7 @@ class RoundRng:
             raise ValueError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self._uniforms = np.empty(0)
+        self._perm_key = self._perm = None
 
     def uniforms(self, T: int) -> np.ndarray:
         """The stream's first T values as one (shared, read-only) array."""
@@ -65,6 +67,13 @@ class RoundRng:
         return np.random.Generator(
             np.random.Philox(np.random.SeedSequence([self.seed, 1, int(k)]))
         )
+
+    def permutation(self, k: int, n: int) -> np.ndarray:
+        if (k, n) != self._perm_key:
+            self._perm = self.child(k).permutation(n)
+            self._perm.flags.writeable = False
+            self._perm_key = (k, n)
+        return self._perm
 
 
 class LossOracle:
@@ -82,7 +91,8 @@ class LossOracle:
     Every other oracle's ``evaluate`` also takes a (C, dim) stack of points,
     one row per run, and returns C losses and a (C, dim) gradient, each row
     bit-identical to that row's own call.  Every row uses the one ``rng``
-    passed in, so on an oracle that draws the rows are runs of one seed.
+    passed in, so an oracle that draws is called once per seed, on that
+    seed's rows.  Any per-run state lives on the ``rng``, not the oracle.
     """
 
     dim: int = 0
@@ -442,7 +452,8 @@ class MinibatchOracle(LossOracle):
     each epoch draws a fresh permutation from the run's seeded source and
     slices it without replacement, so batch contents are a pure function of
     (seed, t).  The final slot of an epoch may be smaller than ``batch``.
-    The rows of a stack share the round's batch.
+    The rows of a stack share the round's batch; the run's ``RoundRng``
+    caches the epoch's permutation.
     """
 
     stochastic = True
@@ -454,16 +465,11 @@ class MinibatchOracle(LossOracle):
         self.batch_size = min(batch_size, objective.data.n)
         self.batches_per_epoch = math.ceil(objective.data.n / self.batch_size)
         self.dim = objective.dim
-        self._perm_key = None
-        self._perm = None
 
     def evaluate(self, t, x, rng):
         epoch, slot = divmod(t - 1, self.batches_per_epoch)
-        key = (rng.seed, epoch)
-        if key != self._perm_key:
-            self._perm = rng.child(epoch).permutation(self.objective.data.n)
-            self._perm_key = key
-        idx = self._perm[slot * self.batch_size : (slot + 1) * self.batch_size]
+        perm = rng.permutation(epoch, self.objective.data.n)
+        idx = perm[slot * self.batch_size : (slot + 1) * self.batch_size]
         return self.objective.loss_and_grad(x, idx)
 
     def full_loss(self, x):

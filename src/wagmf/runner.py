@@ -211,28 +211,23 @@ def run_rounds(
 
     Given a tuple of configs (``cfg``) and/or of seeds, returns one
     (trace, x_after) pair per (config, seed), configs outer, each
-    bit-identical to that pair's own call.  A linear oracle runs each seed
-    on the array path: its gradient stream is drawn once and every config
-    runs over it in array form (``steps.run_stream``), with the same trace,
-    bit for bit, as the per-round loop.  Any other oracle runs the pairs as
-    the rows of one per-round loop (``_round_loop``), or of one loop per
-    seed when it draws.  If a run of more than one pair raises a WagmfError
-    the pairs rerun one at a time, so the error that escapes is the first
-    failing pair's, with that pair's index in its ``pair`` attribute.
+    bit-identical to that pair's own call, from one loop call over all the
+    pairs.  A linear oracle takes the array path, where every config runs
+    over each seed's drawn gradient stream in array form
+    (``steps.run_stream``), the per-round loop's trace bit for bit.  Any
+    other oracle runs the pairs as the rows of one ``_round_loop``.  If a
+    run of more than one pair raises a WagmfError the pairs rerun one at a
+    time, so the error that escapes is the first failing pair's, with that
+    pair's index in its ``pair`` attribute.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    oracle = setup.oracle
-    loop = _array_path if oracle.linear else (lambda *args: _round_loop(*args, dense))
+    loop = _array_path if setup.oracle.linear else (lambda *args: _round_loop(*args, dense))
     runs = None
     try:
-        if oracle.linear or oracle.stochastic:  # the rows of a seed share its draws
-            by_seed = [loop(setup, cfgs, T, (s,)) for s in seeds]
-            runs = [rows[k] for k in range(len(cfgs)) for rows in by_seed]
-        else:
-            runs = loop(setup, cfgs, T, seeds)
+        runs = loop(setup, cfgs, T, seeds)
     except WagmfError as e:
         if len(cfgs) * len(seeds) == 1:
             e.pair = 0
@@ -249,37 +244,38 @@ def run_rounds(
     return runs if isinstance(cfg, tuple) or isinstance(seed, tuple) else runs[0]
 
 
-def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int]):
-    """One seed on a linear oracle: its gradient stream drawn once and run
+def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]):
+    """A linear oracle's runs: each seed's gradient stream drawn once and run
     by every config through ``steps.run_stream``.  Returns one (RunTrace,
-    x_after) pair per config; their traces share the read-only g array, and
-    V within each group that ``run_stream`` builds once."""
-    (seed,) = seeds
-    gs = setup.oracle.gradients(T, RoundRng(seed))
-    gs.flags.writeable = False
-    runs = []
-    for path, Vs, alphas in run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible):
-        xs = path[:T]
-        runs.append((RunTrace(xs, gs, linear_loss(gs, xs), alphas, Vs, seed=seed), path[T].copy()))
+    x_after) pair per (config, seed), configs outer; a seed's traces share
+    its read-only g, and V within each group ``run_stream`` builds once."""
+    S = len(seeds)
+    runs = [None] * (len(cfgs) * S)
+    for j, seed in enumerate(seeds):
+        gs = setup.oracle.gradients(T, RoundRng(seed))
+        gs.flags.writeable = False
+        runs[j::S] = [
+            (RunTrace(path[:T], gs, linear_loss(gs, path[:T]), alphas, Vs, seed=seed), path[T].copy())
+            for path, Vs, alphas in run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible)
+        ]
     return runs
 
 
 def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...], dense: bool = True):
     """The per-round loop over the rows configs x seeds, configs outer, each
-    row one (config, seed) run.  Each round makes one ``evaluate`` call on
-    the (rows, d) stack X of the rows' points, so an oracle that draws runs
-    one seed per loop, and checks that stack's gradients once.
+    row one (config, seed) run: row r runs seed ``seeds[r % S]``.  The loop
+    decides which rows share a draw.  Each round an oracle that draws gets
+    one ``evaluate`` call per seed, on that seed's rows with its
+    ``RoundRng``, and any other one call on the (rows, d) stack X of every
+    row; the round's gradients are checked once.
 
     Each run of consecutive configs equal apart from alpha
-    (``steps.alpha_groups``, the grouping ``run_stream`` uses) keeps one
-    optimizer state: its x is the view of its rows of X, and it steps once
-    per round on the same rows of the gradient, with the same rows of the
-    round's column of step sizes, each config's tabulated once by
-    ``schedules.alpha``.  Every operation of ``steps.step`` is per
-    coordinate, and its scalars (beta1_t, the weight sum) are the same for
-    every row, so each row's values are bit-identical to its own run's; and
-    each group steps through its own engine, so any mix of engines runs
-    unchanged.
+    (``steps.alpha_groups``) keeps one optimizer state over all its seeds'
+    rows: its x is the view of its rows of X, and it steps once per round on
+    the same rows of the gradient and of the round's column of step sizes
+    (``schedules.alpha``).  Every operation of ``steps.step`` is per
+    coordinate and its scalars (beta1_t, the weight sum) are shared by the
+    rows, so each row is bit-identical to its own run in any mix of engines.
 
     Returns one (trace, x_after) pair per row.  Row r's per-round arrays are
     the contiguous slices [r] of (rows, T, ...) arrays; with ``dense=False``
@@ -292,11 +288,8 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
     rounds = np.arange(1, T + 1)
     A = np.repeat([schedules.alpha(c.step, rounds) for c in cfgs], S, axis=0)  # (R, T)
     if dense:
-        xs = np.empty((R, T, d))
-        gs = np.empty((R, T, d))
-        Vs = np.empty((R, T, d))
-        # views indexed round first
-        x_rows, g_rows, V_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs))
+        xs, gs, Vs = (np.empty((R, T, d)) for _ in range(3))
+        x_rows, g_rows, V_rows = (a.swapaxes(0, 1) for a in (xs, gs, Vs))  # indexed round first
     groups = []
     for group in alpha_groups(cfgs):
         c = cfgs[group.start]
@@ -304,14 +297,18 @@ def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]
         state = init_state(X[rows], c)
         state.x = X[rows]  # a view: steps update the stack in place
         groups.append((rows, state, c, presets_mod.STEP_FN[c.engine]))
-    rng = RoundRng(seeds[0]) if S == 1 else None  # a stack of seeds draws nothing
+    draws = [(slice(j, None, S), RoundRng(s)) for j, s in enumerate(seeds)]  # seed j's rows
+    g = np.empty((R, d))
     loss_rows = losses.swapaxes(0, 1)
     evaluate = setup.oracle.evaluate
     for t in range(1, T + 1):
         i = t - 1
-        loss, g = evaluate(t, X, rng)
+        if setup.oracle.stochastic:
+            for seed_rows, rng in draws:
+                loss_rows[i, seed_rows], g[seed_rows] = evaluate(t, X[seed_rows], rng)
+        else:
+            loss_rows[i], g = evaluate(t, X)
         check_gradient(g.reshape(-1), t)
-        loss_rows[i] = loss
         if dense:
             x_rows[i] = X
             g_rows[i] = g
@@ -723,8 +720,8 @@ def run(config: ExperimentConfig) -> dict:
     When ``config.out`` is set, per-run traces and ``summary.json`` are
     written there.  The grid runs as (cells, seeds) jobs (``_jobs``),
     and output is identical for any worker count and chunking.  Serial jobs
-    share the problem that validation built (oracles hold no per-run state
-    beyond caches keyed by the run's seed); pool workers build their own.
+    share the problem that validation built (oracles hold no per-run state;
+    a run's caches live on its ``RoundRng``); pool workers build their own.
     A config from ``parse_config`` hands its first run the problem it built.
     """
     problem, setup = vars(config).pop("_built", (None, None))

@@ -25,12 +25,11 @@ The rule is the one per-engine part (``_RULES``):
 The four engines with a rule add ``epsilon`` to V_t after the root; sign and
 plain_sgd ignore it.  Odd p1 accumulates |g|^p1 so the radicand stays
 non-negative.  ``step`` mutates ``state`` in place and returns it; the
-preconditioner actually applied is left in ``state.last_V`` with the step
-size in ``state.last_alpha`` for tracing.  The raw weighted sum can overflow
-float64 (exponential weights); the sum rule then raises
-NonFinitePreconditioner naming the round, in both of its forms.  A NaN or
-Inf gradient raises NonFiniteGradient naming its round, in both ``step``
-and ``run_stream``.
+preconditioner actually applied is left in ``state.last_V`` for tracing.
+The raw weighted sum can overflow float64 (exponential weights); the sum
+rule then raises NonFinitePreconditioner naming the round, in both of its
+forms.  A NaN or Inf gradient raises NonFiniteGradient naming its round,
+in both ``step`` and ``run_stream``.
 
 Each rule has a per-round form (``_sum_rule``, ``_stable_rule``,
 ``_ema_rule``), which updates the state, and next to it an array form
@@ -101,7 +100,6 @@ class OptimizerState:
     weight_sum: float
     v_hat: np.ndarray | None = None
     last_V: np.ndarray | None = None
-    last_alpha: float | np.ndarray = 0.0
 
 
 def init_state(x0, cfg: OptimizerConfig) -> OptimizerState:
@@ -282,7 +280,6 @@ def step(
     project(fset, V, x, out=x)
     state.t = t
     state.last_V = V
-    state.last_alpha = a_t
     return state
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wagmf import schedules
 from wagmf.analysis import (
     RunTrace,
     adagrad_dd_term,
@@ -65,7 +66,7 @@ def run_preset(preset_name, alpha, oracle, T, seed, box=1.0, overrides=None):
         gs[t - 1] = g
         step(st, g, cfg, fs)
         Vs[t - 1] = st.last_V
-        als[t - 1] = st.last_alpha
+        als[t - 1] = schedules.alpha(cfg.step, t)
     return RunTrace(x=xs, g=gs, loss=ls, alpha=als, V=Vs, seed=seed)
 
 

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 from wagmf import presets, runner
 from wagmf.errors import NonFinitePreconditioner
@@ -37,11 +38,6 @@ SETUPS = {
     for kind in ("reddi_stochastic", "reddi_online")
     for feas in (None, "unconstrained")
 }
-
-
-def same_bits(a, b):
-    """Equal shapes and equal bits: -0.0 differs from 0.0."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def per_round(setup):

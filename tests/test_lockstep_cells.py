@@ -1,8 +1,8 @@
-"""Gate for lockstep cells: run_rounds given a tuple of configs runs them on
-one oracle call per round (per seed on a minibatch oracle, and over every
-seed on one that draws nothing), and each config's trace and final point
-must equal its own run bit for bit.  The stacked softmax core behind that
-call must give every row the bytes of that row's own call."""
+"""Gate for lockstep cells: run_rounds given a tuple of configs and seeds
+runs them as the rows of one loop, with one oracle call per round (one per
+seed on a minibatch oracle, on that seed's rows), and each row's trace and
+final point must equal its own run bit for bit.  The stacked softmax core
+behind that call must give every row the bytes of that row's own call."""
 
 import dataclasses
 import json
@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import same_bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,6 @@ from wagmf.analysis import RunTrace
 from wagmf.errors import NonFiniteGradient
 from wagmf.problems import MinibatchOracle, RoundRng, SoftmaxObjective, gaussian_blobs
 from wagmf.runner import LeanTrace, build_problem, parse_config, run, run_rounds
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def reference_core(W, b, X, y, reg):
@@ -78,7 +74,7 @@ def test_stacked_core_equals_per_point_calls(k, d, batch, batches, short, C, reg
     for t in (1, oracle.batches_per_epoch):  # a full batch and the epoch's last
         losses, grads = oracle.evaluate(t, points, rng)
         assert losses.shape == (C,) and grads.shape == (C, oracle.dim)
-        idx = oracle._perm[(t - 1) * oracle.batch_size : t * oracle.batch_size]
+        idx = rng._perm[(t - 1) * oracle.batch_size : t * oracle.batch_size]
         for x, loss, grad in zip(points, losses, grads):
             one, g_one = oracle.evaluate(t, x, rng)
             assert isinstance(one, float)
@@ -152,8 +148,8 @@ T = 23  # past the first epoch of five batches
 
 @pytest.mark.parametrize("label", SETUPS)
 def test_lockstep_cells_match_their_own_runs(label):
-    # on an oracle that draws each seed runs its own loop of every config;
-    # on one that draws nothing the block is one loop of configs x seeds
+    # one loop of configs x seeds; on an oracle that draws, each round
+    # evaluates each seed's rows with that seed's draws
     setup = SETUPS[label]
     seeds = (3, 11, 0)
     dense = run_rounds(setup, CONFIGS, T, seeds)
@@ -212,8 +208,7 @@ def test_alpha_groups_match_their_own_runs(monkeypatch, label, S):
     seeds = (3, 11, 0)[:S]
     calls = count_steps(monkeypatch)
     dense = run_rounds(setup, GRID_CONFIGS, T, seeds)
-    draws = setup.oracle.stochastic  # one loop per seed
-    assert len(calls) == GRID_GROUPS * T * (S if draws else 1)
+    assert len(calls) == GRID_GROUPS * T
     lean = run_rounds(setup, GRID_CONFIGS, T, seeds, dense=False)
     pairs = [(cfg, seed) for cfg in GRID_CONFIGS for seed in seeds]
     assert len(dense) == len(lean) == len(pairs)
@@ -225,6 +220,30 @@ def test_alpha_groups_match_their_own_runs(monkeypatch, label, S):
         assert same_bits(x_after, x_ref) and same_bits(x_lean, x_ref)
         assert same_bits(record.loss, ref.loss) and same_bits(record.alpha, ref.alpha)
         assert same_bits(record.x_T, ref.x[-1])
+
+
+def test_batch_orders_are_drawn_once_per_seed_and_epoch(monkeypatch):
+    # three seeds alternate within every round; each seed's RoundRng keeps
+    # its epoch's batch order, so none is redrawn, and the oracle that the
+    # runs share keeps no state of them
+    setup = SETUPS["unconstrained"]
+    oracle = setup.oracle
+    epochs = -(-T // oracle.batches_per_epoch)
+    assert epochs >= 2
+    before = dict(vars(oracle))
+    drawn = []
+    child = RoundRng.child
+
+    def counted(self, k):
+        drawn.append((self.seed, k))
+        return child(self, k)
+
+    monkeypatch.setattr(RoundRng, "child", counted)
+    seeds = (3, 11, 0)
+    run_rounds(setup, GRID_CONFIGS, T, seeds)
+    assert sorted(drawn) == sorted((s, e) for s in seeds for e in range(epochs))
+    after = vars(oracle)
+    assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
 
 def test_step_calls_count_groups_not_configs(monkeypatch):
@@ -392,6 +411,36 @@ def test_alpha_group_error_names_the_failing_alpha(monkeypatch, threads, alphas)
     else:
         monkeypatch.delenv("WAGMF_THREADS", raising=False)
     message = r"^sgd at alpha 1e\+10, seed 0: gradient contains NaN or Inf at round 36$"
+    with pytest.raises(NonFiniteGradient, match=message):
+        run(parse_config(raw))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("alphas", [[0.1, 1e10], [1e10, 0.1]], ids=["second-fails", "first-fails"])
+def test_drawing_block_error_names_the_first_failing_seed(monkeypatch, threads, alphas):
+    # one minibatch loop of two cells x two seeds, each seed drawing its own
+    # batches; with reg = 1, alpha 1e10 overflows at round 37 on either seed
+    problem = softmax_problem(reg=1.0)
+    setup = build_problem(problem)
+    cfgs = tuple(presets.make_preset("sgd", alpha) for alpha in alphas)
+    seeds = (0, 1)
+    for seed in seeds:
+        with pytest.raises(NonFiniteGradient, match="round 37$"):
+            run_rounds(setup, cfgs[alphas.index(1e10)], 60, seed)
+        run_rounds(setup, cfgs[alphas.index(0.1)], 60, seed)
+    with pytest.raises(NonFiniteGradient, match="round 37$"):
+        runner._round_loop(setup, cfgs, 60, seeds)
+    with pytest.raises(NonFiniteGradient, match="round 37$") as first:
+        run_rounds(setup, cfgs, 60, seeds)
+    assert first.value.pair == 2 * alphas.index(1e10)  # that alpha's seed 0
+    if threads:
+        monkeypatch.setenv("WAGMF_THREADS", threads)
+    else:
+        monkeypatch.delenv("WAGMF_THREADS", raising=False)
+    raw = {"problem": problem, "T": 60, "seeds": list(seeds), "optimizers": [{"name": "sgd", "alphas": alphas}]}
+    message = r"^sgd at alpha 1e\+10, seed 0: gradient contains NaN or Inf at round 37$"
     with pytest.raises(NonFiniteGradient, match=message):
         run(parse_config(raw))
 

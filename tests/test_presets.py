@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wagmf import schedules
 from wagmf.analysis import RunTrace, ratio_violations
 from wagmf.errors import InvalidOverride, UnknownPreset
 from wagmf.feasible import FeasibleSet
@@ -228,7 +229,7 @@ def make_trace(preset_name, alpha, gs):
         xs[i] = st.x
         step(st, np.atleast_1d(np.asarray(g, dtype=float)), cfg, FREE)
         Vs[i] = st.last_V
-        als[i] = st.last_alpha
+        als[i] = schedules.alpha(cfg.step, i + 1)
     return RunTrace(
         x=xs,
         g=np.array([np.atleast_1d(np.asarray(g, float)) for g in gs]),

@@ -300,7 +300,7 @@ def test_minibatch_partition_covers_each_epoch():
     for t in range(1, 5):
         orc.evaluate(t, x, rng)
         epoch, slot = divmod(t - 1, 4)
-        seen.extend(orc._perm[slot * 7 : (slot + 1) * 7].tolist())
+        seen.extend(rng._perm[slot * 7 : (slot + 1) * 7].tolist())
     assert sorted(seen) == list(range(25))
 
 
@@ -325,17 +325,17 @@ def test_minibatch_epochs_reshuffle_but_replay_identically():
     x = np.zeros(orc.dim)
     rng = RoundRng(9)
     orc.evaluate(1, x, rng)
-    p0 = orc._perm.copy()
+    p0 = rng._perm.copy()
     orc.evaluate(4, x, rng)  # epoch 1 begins at t = 4
-    p1 = orc._perm.copy()
+    p1 = rng._perm.copy()
     assert not np.array_equal(p0, p1)
     # replay with a fresh rng of the same seed reproduces both
     orc2 = MinibatchOracle(SoftmaxObjective(ds, reg=0.0), batch_size=4)
     rng2 = RoundRng(9)
     orc2.evaluate(4, x, rng2)
-    assert np.array_equal(orc2._perm, p1)
+    assert np.array_equal(rng2._perm, p1)
     orc2.evaluate(2, x, rng2)
-    assert np.array_equal(orc2._perm, p0)
+    assert np.array_equal(rng2._perm, p0)
 
 
 def test_minibatch_full_loss_matches_objective():

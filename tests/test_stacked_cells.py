@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +45,8 @@ def assert_same_runs(setup, preset, seeds, T):
         ref, x_ref = run_rounds(setup, preset, T, seed)
         assert trace.seed == seed
         for f in ("x", "g", "V", "loss", "alpha"):
-            assert np.array_equal(getattr(trace, f), getattr(ref, f)), (seed, f)
-        assert np.array_equal(x_after, x_ref), seed
+            assert same_bits(getattr(trace, f), getattr(ref, f)), (seed, f)
+        assert same_bits(x_after, x_ref), seed
 
 
 @pytest.mark.parametrize("name,overrides", CASES, ids=[f"{n}{o or ''}" for n, o in CASES])
@@ -57,8 +58,8 @@ def test_stacked_seeds_match_single_seed_runs(name, overrides):
             for seed, (trace, x_after) in zip(block, run_rounds(setup, preset, T, block)):
                 ref, x_ref = singles[seed]
                 for f in ("x", "g", "V", "loss", "alpha"):
-                    assert np.array_equal(getattr(trace, f), getattr(ref, f)), (label, len(block), seed, f)
-                assert np.array_equal(x_after, x_ref), (label, len(block), seed)
+                    assert same_bits(getattr(trace, f), getattr(ref, f)), (label, len(block), seed, f)
+                assert same_bits(x_after, x_ref), (label, len(block), seed)
 
 
 @st.composite
@@ -103,7 +104,7 @@ def test_quadratic_rows_keep_the_dot_product_loss():
             one, g_one = orc.evaluate(1, x)
             diff = x - orc.known_optimum
             assert loss == one == 0.5 * float((orc.a * diff) @ diff), d
-            assert np.array_equal(g, g_one)
+            assert same_bits(g, g_one)
 
 
 def test_non_block_oracles_run_seed_by_seed():

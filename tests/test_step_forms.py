@@ -5,10 +5,12 @@ sides of ``steps._scan``'s column limit."""
 
 import numpy as np
 import pytest
+from conftest import same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wagmf import schedules
 from wagmf.errors import NonFiniteGradient
 from wagmf.feasible import FeasibleSet
 from wagmf.schedules import STEP_KINDS, MomentumSchedule, StepSizeSchedule, WeightSchedule
@@ -54,22 +56,17 @@ def cases(draw):
     return cfg, G, x1, fset
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cases())
 def test_step_loop_equals_run_stream_bit_for_bit(case):
     cfg, G, x1, fset = case
     state = init_state(x1, cfg)
     xs, Vs, alphas = [state.x.copy()], [], []
-    for g in G:
+    for t, g in enumerate(G, 1):
         step(state, g, cfg, fset)
         xs.append(state.x.copy())
         Vs.append(state.last_V.copy())
-        alphas.append(state.last_alpha)
+        alphas.append(schedules.alpha(cfg.step, t))
     path, V, alpha = run_stream(x1, G, cfg, fset)
     assert same_bits(xs, path)
     assert same_bits(Vs, V)
