@@ -84,7 +84,6 @@ def regret(
     trace: RunTrace,
     oracle: LossOracle,
     x_star: np.ndarray,
-    rng: RoundRng | None = None,
 ) -> RegretSeries:
     """Cumulative regret R(t) = sum_{s<=t} [f_s(x_s) - f_s(x_star)] and its
     running average.
@@ -101,15 +100,12 @@ def regret(
     if oracle.linear:
         star_losses = linear_loss(trace.g, x_star)
     elif oracle.time_invariant:
-        f_star, _ = oracle.evaluate(1, x_star, rng)
+        f_star, _ = oracle.evaluate(1, x_star)
         star_losses = np.full(trace.T, f_star)
     else:
-        if rng is None:
-            if oracle.stochastic and trace.seed is None:
-                raise MissingBranchRecord(
-                    "stochastic oracle needs the run's seed to replay realizations"
-                )
-            rng = RoundRng(trace.seed or 0)
+        if oracle.stochastic and trace.seed is None:
+            raise MissingBranchRecord("stochastic oracle needs the run's seed to replay realizations")
+        rng = RoundRng(trace.seed or 0)
         star_losses = np.empty(trace.T)
         for i, t in enumerate(trace.t):
             star_losses[i], _ = oracle.evaluate(int(t), x_star, rng)
@@ -151,21 +147,23 @@ def thm1_bound(trace, d_inf: float, beta1: float, lam: float):
     return reports if isinstance(trace, tuple) else reports[0]
 
 
-def weighted_dd_term(grads: np.ndarray) -> float:
-    """sum_i ( sum_j j * g_{j,i}^2 )^(1/4) over coordinates i, rounds j."""
+def _dd_term(grads, weight: WeightSchedule, p: int) -> float:
+    """sum_i ( sum_j gamma_j g_{j,i}^2 )^(1/p) over coordinates i, rounds j."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ValueError(f"gradient trace must have shape (T, d), got {grads.shape}")
-    j = gamma(WeightSchedule.linear(), np.arange(1, grads.shape[0] + 1))
-    return float(np.sum(root((j[:, None] * abs_pow(grads, 2)).sum(axis=0), 4)))
+    gam = gamma(weight, np.arange(1, grads.shape[0] + 1))
+    return float(np.sum(root((gam[:, None] * abs_pow(grads, 2)).sum(axis=0), p)))
+
+
+def weighted_dd_term(grads: np.ndarray) -> float:
+    """sum_i ( sum_j j * g_{j,i}^2 )^(1/4) over coordinates i, rounds j."""
+    return _dd_term(grads, WeightSchedule.linear(), 4)
 
 
 def adagrad_dd_term(grads: np.ndarray) -> float:
     """sum_i sqrt( sum_j g_{j,i}^2 ) — the unweighted counterpart."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.ndim != 2:
-        raise ValueError(f"gradient trace must have shape (T, d), got {grads.shape}")
-    return float(np.sum(root(abs_pow(grads, 2).sum(axis=0), 2)))
+    return _dd_term(grads, WeightSchedule.equal(), 2)
 
 
 def corollary1_bound(

@@ -7,20 +7,21 @@ their preconditioner rule.
     V_t = rule(g_1, ..., g_t) + epsilon                    (preconditioner)
     x_{t+1} = Project(x_t - alpha_t * m_t / V_t)
 
-The rule is the one per-engine part (``_RULES``):
+The rule is the one per-engine part (``_RULES``).  There are two:
 
 * ``wagmf_sum`` keeps the raw weighted sum v_t = sum_i gamma_i |g_i|^p1 and
   normalizes by the running weight sum:  V_t = (v_t / sum_i gamma_i)^(1/p2).
-* ``wagmf_stable`` keeps the linearly-weighted average directly,
-  v_t = (1 - 2/(t+1)) v_{t-1} + (2/(t+1)) |g_t|^p1,  V_t = v_t^(1/4),
-  which equals the wagmf_sum rule with gamma_t = t and p2 = 4 but never
-  accumulates the O(t^2) raw sum.
-* ``ema`` and ``amsgrad`` keep v_t = beta2 v_{t-1} + (1-beta2) |g_t|^p1 and
-  take V_t = v_t^(1/p2), of the running max of v_t for amsgrad; with
-  ``bias_correction`` v_t is divided by 1 - beta2^t and m_t by 1 - beta1^t.
-  The presets use p1 = p2 = 2, the Adam and AMSGrad rules.
-* ``sign`` and ``plain_sgd`` have no rule: they step by alpha_t sign(g_t)
-  and alpha_t m_t, and record V_t = |g_t| and V_t = 1.
+* ``wagmf_stable``, ``ema`` and ``amsgrad`` keep the running average
+  v_t = a_t v_{t-1} + b_t |g_t|^p1 and take V_t = v_t^(1/p2); only the
+  coefficients differ (``_coefs``).  Linear weights (wagmf_stable, p2 = 4)
+  take a_t = 1 - 2/(t+1), b_t = 2/(t+1): the wagmf_sum rule with gamma_t = t
+  without its O(t^2) raw sum.  Exponential weights (ema, amsgrad) take
+  a_t = beta2, b_t = 1 - beta2, the Adam and AMSGrad rules at p1 = p2 = 2;
+  amsgrad roots the running max of v_t, and ``bias_correction`` divides
+  v_t by 1 - beta2^t and m_t by 1 - beta1^t.  The momentum is the same
+  average (``_average``) of g_t with a_t = beta1_t, b_t = 1 - beta1_t.
+* ``sign`` and ``plain_sgd`` have no rule: they step by alpha_t sign(g_t),
+  without momentum, and alpha_t m_t, and record V_t = |g_t| and V_t = 1.
 
 The four engines with a rule add ``epsilon`` to V_t after the root; sign and
 plain_sgd ignore it.  Odd p1 accumulates |g|^p1 so the radicand stays
@@ -31,14 +32,13 @@ rule then raises NonFinitePreconditioner naming the round, in both of its
 forms.  A NaN or Inf gradient raises NonFiniteGradient naming its round,
 in both ``step`` and ``run_stream``.
 
-Each rule has a per-round form (``_sum_rule``, ``_stable_rule``,
-``_ema_rule``), which updates the state, and next to it an array form
-(``_sum_stream``, ``_stable_stream``, ``_ema_stream``), which builds V_t for
-every round of a gradient stream known in advance.  One elementwise tail
-(``_tail``: the sign and plain-SGD cases, epsilon, the momentum's bias
-correction and the division) serves ``step`` on (d,) arrays and
-``run_stream`` on (T, d) arrays, so ``run_stream`` is bit-identical to T
-calls of ``step``.
+Each rule has a per-round form (``_sum_rule``, ``_average_rule``), which
+updates the state, and next to it an array form (``_sum_stream``,
+``_average_stream``), which builds V_t for every round of a gradient
+stream known in advance.  One elementwise tail (``_tail``: the sign and
+plain-SGD cases, epsilon, the momentum's bias correction and the division)
+serves ``step`` on (d,) arrays and ``run_stream`` on (T, d) arrays, so
+``run_stream`` is bit-identical to T calls of ``step``.
 """
 
 from __future__ import annotations
@@ -136,12 +136,17 @@ def _bias(beta: float, t: int) -> float:
     return 1.0 - beta**t
 
 
+def _average(acc: np.ndarray, a, b, y: np.ndarray) -> np.ndarray:
+    """acc <- a * acc + b * y in place and returned: one round of a running
+    average, the momentum's (a = beta1_t) or a rule's (``_coefs``)."""
+    acc *= a
+    acc += b * y
+    return acc
+
+
 def _momentum(state: OptimizerState, g: np.ndarray, mom: MomentumSchedule, t: int) -> np.ndarray:
     b1t = schedules.beta1_at(mom, t)
-    m = state.m
-    m *= b1t
-    m += (1.0 - b1t) * g
-    return m
+    return _average(state.m, b1t, 1.0 - b1t, g)
 
 
 def _direction(m_eff: np.ndarray, V: np.ndarray, eps: float) -> np.ndarray:
@@ -185,48 +190,41 @@ def _sum_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return V
 
 
-def _stable_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
-    c = 2.0 / (t + 1.0)
-    v = state.v
-    v *= 1.0 - c
-    v += c * abs_pow(g, cfg.p1)
-    return root(v, cfg.p2)
-
-
-def _stable_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    c = 2.0 / (np.arange(1, G.shape[0] + 1) + 1.0)
-    v = _scan(1.0 - c, c[:, None] * abs_pow(G, cfg.p1))
-    return root(v, cfg.p2)
-
-
-def _ema_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
+def _coefs(cfg: OptimizerConfig, t):
+    """(a_t, b_t) of the running average v_t = a_t v_{t-1} + b_t |g_t|^p1 at
+    round t, or at each of an array of rounds: (1 - 2/(t+1), 2/(t+1)) for
+    linear weights gamma_t = t, (beta2, 1 - beta2) for exponential ones."""
+    if cfg.weight.kind == "linear":
+        c = 2.0 / (t + 1.0)
+        return 1.0 - c, c
     beta2 = cfg.weight.beta2
-    v = state.v
-    v *= beta2
-    v += (1.0 - beta2) * abs_pow(g, cfg.p1)
+    return beta2, 1.0 - beta2
+
+
+def _average_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
+    v = _average(state.v, *_coefs(cfg, t), abs_pow(g, cfg.p1))
     if cfg.engine == "amsgrad":
         v = np.maximum(state.v_hat, v, out=state.v_hat)
     if cfg.bias_correction:
-        v = v / _bias(beta2, t)
+        v = v / _bias(cfg.weight.beta2, t)
     return root(v, cfg.p2)
 
 
-def _ema_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    beta2 = cfg.weight.beta2
-    v = _scan(float(beta2), (1.0 - beta2) * abs_pow(G, cfg.p1))
+def _average_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    v = _scan(*_coefs(cfg, np.arange(1, G.shape[0] + 1)), abs_pow(G, cfg.p1))
     if cfg.engine == "amsgrad":
         v = np.maximum.accumulate(v, axis=0)
     if cfg.bias_correction:
-        v = v / schedules.per_round(_bias, beta2, G.shape[0])[:, None]
+        v = v / schedules.per_round(_bias, cfg.weight.beta2, G.shape[0])[:, None]
     return root(v, cfg.p2)
 
 
 # engine -> (per-round rule, array form); sign and plain_sgd build no V_t
 _RULES = {
     "wagmf_sum": (_sum_rule, _sum_stream),
-    "wagmf_stable": (_stable_rule, _stable_stream),
-    "ema": (_ema_rule, _ema_stream),
-    "amsgrad": (_ema_rule, _ema_stream),
+    "wagmf_stable": (_average_rule, _average_stream),
+    "ema": (_average_rule, _average_stream),
+    "amsgrad": (_average_rule, _average_stream),
     "sign": (None, None),
     "plain_sgd": (None, None),
 }
@@ -270,7 +268,7 @@ def step(
     if a_t is None:
         check_gradient(g, t)
         a_t = schedules.alpha(cfg.step, t)
-    m = _momentum(state, g, cfg.momentum, t)
+    m = None if cfg.engine == "sign" else _momentum(state, g, cfg.momentum, t)
     rule = _RULES[cfg.engine][0]
     V = rule(state, g, cfg, t) if rule else None
     bias1 = _bias(cfg.momentum.beta1, t) if cfg.bias_correction else None
@@ -294,25 +292,26 @@ def _recur(coefs, adds):
         yield y
 
 
-def _scan(coef, add: np.ndarray) -> np.ndarray:
-    """y_t = y_{t-1} * coef_t + add_t from y_0 = 0, down each column of
-    ``add`` (T, d), overwritten with y and returned; ``coef`` is one float or
-    a (T,) array.  Up to ``_SCAN_COLUMNS`` columns the pass runs down each
-    column over Python floats, beyond that one numpy row update per round.
-    Both do the per-round rules' product and sum in their order, so every
-    y_t is bit-identical to theirs."""
-    T, d = add.shape
+def _scan(a, b, Y: np.ndarray) -> np.ndarray:
+    """Array form of ``_average``: y_t = a_t y_{t-1} + b_t Y_t from y_0 = 0,
+    down each column of ``Y`` (T, d), overwritten with y and returned; ``a``
+    and ``b`` are each one float or a (T,) array.  Up to ``_SCAN_COLUMNS``
+    columns the pass runs down each column over Python floats, beyond that
+    one numpy row update per round.  Both do ``_average``'s products and sum
+    in its order, so every y_t is bit-identical to its per-round value."""
+    Y *= np.reshape(b, (-1, 1))
+    T, d = Y.shape
     if d > _SCAN_COLUMNS:
-        coefs = repeat(coef) if np.ndim(coef) == 0 else coef.tolist()
+        coefs = repeat(a) if np.ndim(a) == 0 else a.tolist()
         y = np.zeros(d)
-        for c, row in zip(coefs, add):
+        for c, row in zip(coefs, Y):
             row += y * c
             y = row
-        return add
+        return Y
     for j in range(d):
-        coefs = repeat(coef) if np.ndim(coef) == 0 else memoryview(coef)
-        add[:, j] = np.fromiter(_recur(coefs, memoryview(add[:, j])), np.float64, T)
-    return add
+        coefs = repeat(float(a)) if np.ndim(a) == 0 else memoryview(a)
+        Y[:, j] = np.fromiter(_recur(coefs, memoryview(Y[:, j])), np.float64, T)
+    return Y
 
 
 def _descent(x: float, steps, lo: float | None, hi: float | None):
@@ -336,11 +335,10 @@ def _momentum_stream(G, mom: MomentumSchedule, b1=None) -> np.ndarray:
     of beta1_t passes it as ``b1``; it is only read when lam < 1."""
     M = np.hstack(G) if isinstance(G, tuple) else np.array(G, dtype=np.float64)
     if mom.lam == 1.0:
-        b1 = float(mom.beta1)
+        b1 = mom.beta1
     elif b1 is None:
         b1 = schedules.per_round(schedules.beta1_at, mom, M.shape[0])
-    M *= np.reshape(1.0 - b1, (-1, 1))
-    return _scan(b1, M)
+    return _scan(b1, 1.0 - b1, M)
 
 
 def _directions(G: np.ndarray, cfg: OptimizerConfig):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 from wagmf import schedules
 from wagmf.analysis import (
@@ -241,6 +242,16 @@ def test_dd_terms_closed_forms():
     assert adagrad_dd_term(grads) == pytest.approx(d * G * math.sqrt(T), rel=1e-12)
     with pytest.raises(ValueError):
         weighted_dd_term(np.zeros(5))
+
+
+def test_dd_terms_keep_their_bits():
+    # both terms share one body, called with linear and with equal weights;
+    # compare with the terms written out, on gradients with exact zeros
+    rng = np.random.default_rng(12)
+    grads = rng.standard_normal((500, 4)) * rng.choice([0.0, 1.0, 40.0], size=(500, 4))
+    j, sq = np.arange(1, 501, dtype=np.float64), grads * grads
+    assert same_bits(weighted_dd_term(grads), np.sum(np.sqrt(np.sqrt((j[:, None] * sq).sum(axis=0)))))
+    assert same_bits(adagrad_dd_term(grads), np.sum(np.sqrt(sq.sum(axis=0))))
 
 
 def test_dd_term_comparison_crossover():

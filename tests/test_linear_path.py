@@ -4,16 +4,15 @@ for an optimizer's whole alpha grid on one drawn stream."""
 
 import copy
 import dataclasses
-import json
 
 import numpy as np
 import pytest
-from conftest import same_bits
+from conftest import grid_outputs, same_bits
 
 from wagmf import presets, runner
 from wagmf.errors import NonFinitePreconditioner
 from wagmf.problems import ReddiOnline, ReddiStochastic, RoundRng
-from wagmf.runner import build_problem, parse_config, run, run_rounds
+from wagmf.runner import build_problem, parse_config, run_rounds
 
 T = 2000
 SEEDS = (5, 31)
@@ -165,24 +164,13 @@ def test_linear_grid_outputs_are_identical_across_layouts_and_workers(monkeypatc
         ],
     }
 
-    def outputs(tag, threads):
-        out = tmp_path / tag
-        if threads:
-            monkeypatch.setenv("WAGMF_THREADS", threads)
-        else:
-            monkeypatch.delenv("WAGMF_THREADS", raising=False)
-        summary = run(parse_config(raw | {"out": str(out)}))
-        text = json.dumps(summary, sort_keys=True).replace(str(out), "OUT")
-        files = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT") for p in sorted(out.iterdir())}
-        return text, files
-
-    whole = outputs("whole", None)
+    whole = grid_outputs(monkeypatch, raw, None, tmp_path / "whole")
     assert len(whole[1]) == 1 + 2 * 5 * 2  # summary.json plus a CSV and a .npy per run
     for threads in ("2", "3"):
-        assert outputs(f"pooled-{threads}", threads) == whole, threads
+        assert grid_outputs(monkeypatch, raw, threads, tmp_path / f"pooled-{threads}") == whole, threads
     monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", GRID_T)  # one (cell, seed) per job
     assert len(runner._jobs(parse_config(raw), build_problem(raw["problem"]).oracle, 1)) == 10
-    assert outputs("pairs", None) == whole
+    assert grid_outputs(monkeypatch, raw, None, tmp_path / "pairs") == whole
 
 
 @pytest.mark.parametrize("oracle", [ReddiStochastic(), ReddiOnline()], ids=["stochastic", "online"])

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import same_bits
+from conftest import QUAD, UNEVEN_BOX, grid_outputs, same_bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -109,16 +109,13 @@ def softmax_problem(**kw):
     }
 
 
-QUAD = {"kind": "quadratic", "a_diag": [1.0, 4.0, 0.25], "x_star": [0.5, -1.5, 2.0]}
 SETUPS = {
     "unconstrained": build_problem(softmax_problem()),
     "box": build_problem(softmax_problem(feasible={"lo": [-0.05] * 16, "hi": [0.05] * 16})),
     # x* outside the default box [-1, 1] in two coordinates, x0 drawn per seed
     "quadratic-box-random-x0": build_problem(QUAD),
     # bounds differ per coordinate, and x* lies outside them in the first two
-    "quadratic-uneven-box-random-x0": build_problem(
-        QUAD | {"feasible": {"lo": [-1.0, -0.2, 0.5], "hi": [0.3, 1.0, 2.5]}}
-    ),
+    "quadratic-uneven-box-random-x0": build_problem(QUAD | {"feasible": UNEVEN_BOX}),
     "quadratic-unconstrained": build_problem(QUAD | {"x0": [0.9, -0.9, 0.0], "feasible": "unconstrained"}),
     # a config's softmax x0 is fixed, so the per-seed x0 is set on the setup
     "full-batch-box-random-x0": dataclasses.replace(
@@ -475,20 +472,10 @@ def test_lean_minibatch_grid_memory_stays_below_one_dense_trace():
 
 @pytest.mark.parametrize("with_out", [False, True], ids=["lean", "out"])
 def test_minibatch_run_is_identical_across_worker_counts(monkeypatch, tmp_path, with_out):
-    out = tmp_path / "out"
-    raw = minibatch_raw(out=str(out)) if with_out else minibatch_raw()
-
-    def outputs(threads):
-        if threads:
-            monkeypatch.setenv("WAGMF_THREADS", threads)
-        else:
-            monkeypatch.delenv("WAGMF_THREADS", raising=False)
-        summary = json.dumps(run(parse_config(raw)), sort_keys=True)
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if with_out else {}
-        return summary, files
-
-    serial = outputs(None)
-    assert outputs("2") == serial
+    raw = minibatch_raw()
+    out = tmp_path / "out" if with_out else None
+    serial = grid_outputs(monkeypatch, raw, None, out)
+    assert grid_outputs(monkeypatch, raw, "2", out) == serial
     runs = json.loads(serial[0])["runs"]
     assert [(r["optimizer"], r["alpha"], r["seed"]) for r in runs] == [
         (o["name"], a, s)

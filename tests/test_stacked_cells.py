@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import same_bits
+from conftest import QUAD, UNEVEN_BOX, grid_outputs, same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +26,6 @@ NAMES = sorted(presets._TABLE)
 CASES = [(name, o) for o in ({}, {"lambda": 0.99}, {"epsilon": 0}) for name in NAMES]
 CASES += [("adam", {"bias_correction": True}), ("amsgrad", {"bias_correction": True})]
 
-# x* lies outside the default box [-1, 1] in two coordinates, so the box clips
-QUAD = {"kind": "quadratic", "a_diag": [1.0, 4.0, 0.25], "x_star": [0.5, -1.5, 2.0]}
-UNEVEN_BOX = {"lo": [-1.0, -0.2, 0.5], "hi": [0.3, 1.0, 2.5]}
 SETUPS = {
     "box-x0": build_problem(QUAD | {"x0": [0.9, -0.9, 0.0]}),
     "box-random-x0": build_problem(QUAD),
@@ -226,18 +223,7 @@ def test_run_is_identical_across_chunks_and_worker_counts(monkeypatch, tmp_path)
         "checkpoints": [10, 40],
     }
 
-    def outputs(tag, threads):
-        out = tmp_path / tag
-        if threads:
-            monkeypatch.setenv("WAGMF_THREADS", threads)
-        else:
-            monkeypatch.delenv("WAGMF_THREADS", raising=False)
-        summary = run(parse_config(raw | {"out": str(out)}))
-        text = json.dumps(summary, sort_keys=True).replace(str(out), "OUT")
-        files = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT") for p in sorted(out.iterdir())}
-        return text, files
-
-    whole = outputs("whole", None)
+    whole = grid_outputs(monkeypatch, raw, None, tmp_path / "whole")
     assert len(whole[1]) == 1 + 2 * 5  # summary.json plus a CSV and a .npy per seed
     runs = json.loads(whole[0])["runs"]
     assert [r["seed"] for r in runs] == raw["seeds"]
@@ -245,4 +231,4 @@ def test_run_is_identical_across_chunks_and_worker_counts(monkeypatch, tmp_path)
     monkeypatch.setattr(runner, "_BLOCK_ELEMENTS", 2 * 40 * 2)  # blocks of at most two seeds
     assert len(runner._jobs(parse_config(raw), build_problem(raw["problem"]).oracle, 1)) == 3
     for threads in (None, "2", "3"):
-        assert outputs(f"chunked-{threads}", threads) == whole, threads
+        assert grid_outputs(monkeypatch, raw, threads, tmp_path / f"chunked-{threads}") == whole, threads

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 from wagmf.errors import NonFiniteGradient, NonFinitePreconditioner
 from wagmf.feasible import FeasibleSet
+from wagmf.presets import make_preset
 from wagmf.schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
-from wagmf.steps import OptimizerConfig, init_state, step
+from wagmf.steps import OptimizerConfig, init_state, run_stream, step
 
 FREE = FeasibleSet.unconstrained()
 
@@ -166,6 +168,76 @@ def test_ema_recursion_matches_explicit_weighted_sums(p1, p2):
         # the normalized weighted average is the EMA with the bias 1-beta2^t divided out
         avg = ss.v[0] * (1.0 / ss.weight_sum)
         assert avg == pytest.approx(st.v[0] / (1 - beta2**t), rel=1e-13)
+
+
+def reference_average(G, cfg):
+    """m_t, v_t (the raw average), the amsgrad running max and the applied
+    V_t for every round of G (T, d), from plain loops m = m * b1 + (1 - b1) * g
+    and v = v * a + b * |g|^p1 with the coefficients written out."""
+    m, v, peak = (np.zeros(G.shape[1]) for _ in range(3))
+    ms, vs, peaks, Vs = (np.empty(G.shape) for _ in range(4))
+    beta1, lam, beta2 = cfg.momentum.beta1, cfg.momentum.lam, cfg.weight.beta2
+    for t, g in enumerate(G, start=1):
+        b1 = beta1 if lam == 1.0 else beta1 * lam ** (t - 1)
+        m = m * b1 + (1.0 - b1) * g
+        if cfg.weight.kind == "linear":
+            a, b = 1.0 - 2.0 / (t + 1.0), 2.0 / (t + 1.0)
+        else:
+            a, b = beta2, 1.0 - beta2
+        v = v * a + b * np.abs(g) ** cfg.p1
+        peak = np.maximum(peak, v)
+        w = peak if cfg.engine == "amsgrad" else v
+        if cfg.bias_correction:
+            w = w / (1.0 - beta2**t)
+        V = np.sqrt(w) if cfg.p2 == 2 else np.sqrt(np.sqrt(w))
+        ms[t - 1], vs[t - 1], peaks[t - 1], Vs[t - 1] = m, v, peak, V + cfg.epsilon
+    return ms, vs, peaks, Vs
+
+
+# beta2 = 0.3 < 0.5, where 1 - (1 - beta2) is not beta2 itself
+AVERAGE_CASES = [
+    ("wada", {}),
+    ("wada_v3", {}),
+    ("wada", {"lambda": 0.99}),
+    ("adam", {}),
+    ("rmsprop", {}),
+    ("amsgrad", {}),
+    ("adam", {"bias_correction": True}),
+    ("amsgrad", {"bias_correction": True}),
+    ("adam", {"beta2": 0.3}),
+    ("amsgrad", {"beta2": 0.3}),
+    ("adam", {"beta2": 0.3, "bias_correction": True}),
+]
+
+
+@pytest.mark.parametrize("d", [3, 20])  # both passes of steps._scan
+@pytest.mark.parametrize(
+    "name,overrides",
+    AVERAGE_CASES,
+    ids=["-".join([name, *(f"{k}={v}" for k, v in o.items())]) for name, o in AVERAGE_CASES],
+)
+def test_running_averages_match_reference_loops_bit_for_bit(name, overrides, d):
+    rng = np.random.default_rng(17)
+    G = rng.standard_normal((300, d)) * rng.choice([0.0, 1.0, 30.0], size=(300, d), p=[0.2, 0.7, 0.1])
+    cfg = make_preset(name, 0.1, overrides)
+    ms, vs, peaks, Vs = reference_average(G, cfg)
+    st = init_state(np.zeros(d), cfg)
+    for t, g in enumerate(G):
+        step(st, g, cfg, FREE)
+        assert same_bits(st.m, ms[t]), t
+        assert same_bits(st.v, vs[t]), t
+        assert same_bits(st.last_V, Vs[t]), t
+        if cfg.engine == "amsgrad":
+            assert same_bits(st.v_hat, peaks[t]), t
+    assert same_bits(run_stream(np.zeros(d), G, cfg, FREE)[1], Vs)
+
+
+def test_sign_steps_keep_no_momentum():
+    cfg = make_preset("sign_sgd", 0.1)
+    st = init_state(np.zeros((2, 3)), cfg)  # a group of two runs
+    for g in np.random.default_rng(4).standard_normal((20, 2, 3)):
+        step(st, g, cfg, FREE, a_t=np.array([[0.1], [0.2]]))
+    assert same_bits(st.m, np.zeros((2, 3)))
 
 
 def test_amsgrad_keeps_running_max():
