@@ -71,6 +71,8 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_flags(raw: dict, args: argparse.Namespace) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a table, got {raw!r}")
     raw = dict(raw)
     if args.alpha is not None:
         try:
@@ -85,10 +87,9 @@ def _apply_flags(raw: dict, args: argparse.Namespace) -> dict:
         raw["optimizers"] = [
             {"name": n, "alphas": grid} if grid else {"name": n} for n in args.optimizer
         ]
-    elif grid is not None:
+    elif grid is not None and isinstance(raw.get("optimizers"), list):
         raw["optimizers"] = [
-            {**(o if isinstance(o, dict) else {"name": o}), "alphas": grid}
-            for o in raw.get("optimizers", [])
+            {**(o if isinstance(o, dict) else {"name": o}), "alphas": grid} for o in raw["optimizers"]
         ]
     if args.T is not None:
         raw["T"] = args.T

@@ -15,6 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -211,33 +212,36 @@ def run_rounds(
 
     Given a tuple of configs (``cfg``) and/or of seeds, returns one
     (trace, x_after) pair per (config, seed), configs outer, each
-    bit-identical to that pair's own call, from one loop call over all the
-    pairs.  A linear oracle takes the array path, where every config runs
-    over each seed's drawn gradient stream in array form
-    (``steps.run_stream``), the per-round loop's trace bit for bit.  Any
-    other oracle runs the pairs as the rows of one ``_round_loop``.  If a
-    run of more than one pair raises a WagmfError the pairs rerun one at a
-    time, so the error that escapes is the first failing pair's, with that
-    pair's index in its ``pair`` attribute.
+    bit-identical to that pair's own call.  A linear oracle takes the array
+    path (``_array_path``), where every config runs over each seed's drawn
+    gradient stream in array form (``steps.run_stream``), the per-round
+    loop's trace bit for bit; it builds the pairs one at a time, so a
+    failing pair is the first to fail.  Any other oracle runs the pairs as
+    the rows of one ``_round_loop``; if a loop of more than one pair raises
+    a WagmfError the pairs rerun one at a time.  Either way the error that
+    escapes is the first failing pair's, with that pair's index in its
+    ``pair`` attribute.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    loop = _array_path if setup.oracle.linear else (lambda *args: _round_loop(*args, dense))
     runs = None
-    try:
-        runs = loop(setup, cfgs, T, seeds)
-    except WagmfError as e:
-        if len(cfgs) * len(seeds) == 1:
-            e.pair = 0
-            raise
+    if setup.oracle.linear:
+        runs = list(_array_path(setup, cfgs, T, seeds))
+    else:
+        try:
+            runs = _round_loop(setup, cfgs, T, seeds, dense)
+        except WagmfError as e:
+            if len(cfgs) * len(seeds) == 1:
+                e.pair = 0
+                raise
     if runs is None:
         runs = []
         for c in cfgs:
             for s in seeds:
                 try:
-                    runs.extend(loop(setup, (c,), T, (s,)))
+                    runs.extend(_round_loop(setup, (c,), T, (s,), dense))
                 except WagmfError as e:
                     e.pair = len(runs)
                     raise
@@ -245,20 +249,30 @@ def run_rounds(
 
 
 def _array_path(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...]):
-    """A linear oracle's runs: each seed's gradient stream drawn once and run
-    by every config through ``steps.run_stream``.  Returns one (RunTrace,
-    x_after) pair per (config, seed), configs outer; a seed's traces share
-    its read-only g, and V within each group ``run_stream`` builds once."""
-    S = len(seeds)
-    runs = [None] * (len(cfgs) * S)
-    for j, seed in enumerate(seeds):
-        gs = setup.oracle.gradients(T, RoundRng(seed))
-        gs.flags.writeable = False
-        runs[j::S] = [
-            (RunTrace(path[:T], gs, linear_loss(gs, path[:T]), alphas, Vs, seed=seed), path[T].copy())
-            for path, Vs, alphas in run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible)
-        ]
-    return runs
+    """A linear oracle's runs: one (RunTrace, x_after) pair per (config,
+    seed), configs outer, each built when it is asked for.  Each seed's
+    gradient stream is drawn once, read-only, and run by every config
+    through one ``steps.run_stream`` iterator, so its scans are shared and
+    a caller that drops each config's pairs before asking for the next
+    holds one config's arrays at a time.  A WagmfError carries the index of
+    the pair that raised it, the first failing one, as ``pair``."""
+    pair = 0
+    try:
+        streams = []
+        for seed in seeds:
+            gs = setup.oracle.gradients(T, RoundRng(seed))
+            gs.flags.writeable = False
+            streams.append((seed, gs, run_stream(initial_point(setup, seed), gs, cfgs, setup.feasible)))
+        for k in range(len(cfgs)):
+            for seed, gs, runs in streams:
+                path, V, alphas = next(runs)
+                if k == len(cfgs) - 1:
+                    runs.close()  # its directions, before the last results are made
+                yield RunTrace(path[:T], gs, linear_loss(gs, path[:T]), alphas, V, seed=seed), path[T].copy()
+                pair += 1
+    except WagmfError as e:
+        e.pair = pair
+        raise
 
 
 def _round_loop(setup: ProblemSetup, cfgs: tuple, T: int, seeds: tuple[int, ...], dense: bool = True):
@@ -562,7 +576,11 @@ def _execute_job(
 ) -> list[dict]:
     """Run one (cells, seeds) job of the grid, cells as (optimizer, alpha),
     and return one result per (cell, seed), cells outer; used directly and
-    via the pool.  A failing run's error names its cell.
+    via the pool.  A failing run's error names its cell and seed.
+
+    Each cell's runs become its results before the next cell's runs are
+    asked for (``_cell_runs``), so on a linear oracle, whose array path
+    builds them then, the job holds one config's arrays at a time.
 
     Serial callers pass the problem they already built; pool workers build
     their own from ``config.problem``.
@@ -571,23 +589,36 @@ def _execute_job(
     if setup is None:
         setup = build_problem(config.problem)
     cfgs = tuple(presets_mod.make_preset(name, alpha, config.overrides) for name, alpha in cells)
-    dense = _needs_dense(config, setup.oracle)
+    blocks = _cell_runs(setup, cells, cfgs, seeds, config.T, _needs_dense(config, setup.oracle))
+    results = []
+    for cell, cfg in zip(cells, cfgs):
+        results += _cell_results(config, setup, cfg, cell, seeds, *next(blocks))
+    return results
+
+
+def _cell_runs(setup: ProblemSetup, cells: tuple, cfgs: tuple, seeds: tuple, T: int, dense: bool):
+    """Yield each cell's (runs, full losses) in turn: its seeds' (trace,
+    x_after) pairs and their full-data losses (None but on a minibatch
+    oracle).  A linear oracle's pairs are built when their cell is asked for
+    (``_array_path``); any other oracle's come from one ``run_rounds`` call.
+    A failing run's error names its cell and seed."""
+    S = len(seeds)
     try:
-        runs = run_rounds(setup, cfgs, config.T, seeds, dense=dense)
+        if setup.oracle.linear:
+            runs = zip(_array_path(setup, cfgs, T, seeds), repeat(None))
+        else:
+            pairs = run_rounds(setup, cfgs, T, seeds, dense=dense)
+            full_losses = [None] * len(pairs)
+            if isinstance(setup.oracle, MinibatchOracle):  # one call on the stack of x_after rows
+                full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in pairs])).tolist()
+            runs = zip(pairs, full_losses)
+        for _ in cells:
+            yield tuple(zip(*islice(runs, S)))
     except WagmfError as e:
         k = getattr(e, "pair", 0)
-        (name, alpha), seed = cells[k // len(seeds)], seeds[k % len(seeds)]
+        (name, alpha), seed = cells[k // S], seeds[k % S]
         e.args = (f"{name} at alpha {alpha:g}, seed {seed}: {e}",)
         raise
-    full_losses = [None] * len(runs)
-    if isinstance(setup.oracle, MinibatchOracle):  # one call on the stack of x_after rows
-        full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in runs])).tolist()
-    S = len(seeds)
-    results = []
-    for j, (cell, cfg) in enumerate(zip(cells, cfgs)):
-        block = slice(j * S, (j + 1) * S)
-        results += _cell_results(config, setup, cfg, cell, seeds, runs[block], full_losses[block])
-    return results
 
 
 def _needs_dense(config: ExperimentConfig, oracle: LossOracle) -> bool:
@@ -680,26 +711,21 @@ def _jobs(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tu
 
     A job's per-round trace arrays hold T values per row and round, or T*d
     when a result reads the dense trace (``_needs_dense``), and stay within
-    ``_BLOCK_ELEMENTS``.  When every seed of a cell fits, jobs are chunks of
-    cells run with every seed: on a linear oracle, chunks of one optimizer
-    entry's alphas, which share each seed's drawn stream and its momentum
-    and preconditioner; on any other, chunks of the grid's cells when a pool
-    has no more ``workers`` than cells.  Otherwise each job is one cell
-    with a chunk of its seeds.  Chunks are contiguous and the fewest that
-    fit, or more where the pool would otherwise get fewer jobs than
+    ``_BLOCK_ELEMENTS``.  When every seed of a cell fits and a pool has no
+    more ``workers`` than cells, jobs are chunks of the grid's cells run
+    with every seed; on a linear oracle such a chunk shares each seed's
+    drawn stream and its scans across optimizer entries, and holds one
+    config's arrays at a time (``_execute_job``).  Otherwise each job is one
+    cell with a chunk of its seeds.  Chunks are contiguous and the fewest
+    that fit, or more where the pool would otherwise get fewer jobs than
     workers.  A run's results do not depend on its job.
     """
-    entries = [[(entry["name"], a) for a in entry["alphas"]] for entry in config.optimizers]
-    cells = [cell for grid in entries for cell in grid]
+    cells = [(entry["name"], a) for entry in config.optimizers for a in entry["alphas"]]
     seeds = tuple(config.seeds)
     width = oracle.dim if _needs_dense(config, oracle) else 1
     rows = max(1, _BLOCK_ELEMENTS // (config.T * width))
-    fit = rows // len(seeds)
-    if fit and oracle.linear:
-        chunks = [chunk for grid in entries for chunk in _chunks(grid, fit, workers, len(entries))]
-        return [(chunk, seeds) for chunk in chunks]
-    if fit and workers <= len(cells):
-        return [(chunk, seeds) for chunk in _chunks(cells, fit, workers, 1)]
+    if rows >= len(seeds) and workers <= len(cells):
+        return [(chunk, seeds) for chunk in _chunks(cells, rows // len(seeds), workers, 1)]
     return [((cell,), chunk) for cell in cells for chunk in _chunks(seeds, rows, workers, len(cells))]
 
 

@@ -35,10 +35,11 @@ in both ``step`` and ``run_stream``.
 Each rule has a per-round form (``_sum_rule``, ``_average_rule``), which
 updates the state, and next to it an array form (``_sum_stream``,
 ``_average_stream``), which builds V_t for every round of a gradient
-stream known in advance.  One elementwise tail (``_tail``: the sign and
-plain-SGD cases, epsilon, the momentum's bias correction and the division)
-serves ``step`` on (d,) arrays and ``run_stream`` on (T, d) arrays, so
-``run_stream`` is bit-identical to T calls of ``step``.
+stream known in advance (a ``_Stream``, whose momentum and running-average
+scans every config on it shares).  One elementwise tail (``_tail``: the
+sign and plain-SGD cases, epsilon, the momentum's bias correction and the
+division) serves ``step`` on (d,) arrays and ``run_stream`` on (T, d)
+arrays, so ``run_stream`` is bit-identical to T calls of ``step``.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ def _sum_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int
     return V
 
 
-def _sum_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+def _sum_stream(s: _Stream, cfg: OptimizerConfig) -> np.ndarray:
+    G = s.G
     gam = schedules.gamma(cfg.weight, np.arange(1, G.shape[0] + 1))
     v = np.cumsum(gam[:, None] * abs_pow(G, cfg.p1), axis=0)
     V = root(v * (1.0 / np.cumsum(gam))[:, None], cfg.p2)
@@ -192,19 +194,18 @@ def _sum_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return V
 
 
-def _coefs(cfg: OptimizerConfig, t):
+def _coefs(weight: WeightSchedule, t):
     """(a_t, b_t) of the running average v_t = a_t v_{t-1} + b_t |g_t|^p1 at
     round t, or at each of an array of rounds: (1 - 2/(t+1), 2/(t+1)) for
     linear weights gamma_t = t, (beta2, 1 - beta2) for exponential ones."""
-    if cfg.weight.kind == "linear":
+    if weight.kind == "linear":
         c = 2.0 / (t + 1.0)
         return 1.0 - c, c
-    beta2 = cfg.weight.beta2
-    return beta2, 1.0 - beta2
+    return weight.beta2, 1.0 - weight.beta2
 
 
 def _average_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t: int) -> np.ndarray:
-    v = _average(state.v, *_coefs(cfg, t), abs_pow(g, cfg.p1))
+    v = _average(state.v, *_coefs(cfg.weight, t), abs_pow(g, cfg.p1))
     if cfg.engine == "amsgrad":
         v = np.maximum(state.v_hat, v, out=state.v_hat)
     if cfg.bias_correction:
@@ -212,12 +213,12 @@ def _average_rule(state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, t:
     return root(v, cfg.p2)
 
 
-def _average_stream(G: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    v = _scan(*_coefs(cfg, np.arange(1, G.shape[0] + 1)), abs_pow(G, cfg.p1))
+def _average_stream(s: _Stream, cfg: OptimizerConfig) -> np.ndarray:
+    v = s.average(cfg.weight, cfg.p1)
     if cfg.engine == "amsgrad":
         v = np.maximum.accumulate(v, axis=0)
     if cfg.bias_correction:
-        v = v / schedules.per_round(_bias, cfg.weight.beta2, G.shape[0])[:, None]
+        v = v / schedules.per_round(_bias, cfg.weight.beta2, v.shape[0])[:, None]
     return root(v, cfg.p2)
 
 
@@ -402,18 +403,69 @@ def _momentum_stream(G, mom: MomentumSchedule, b1=None) -> np.ndarray:
     return _scan(b1, 1.0 - b1, M)
 
 
-def _directions(G: np.ndarray, cfg: OptimizerConfig):
-    """(V, U) for every round of G (T, d): the applied preconditioners,
-    read-only, and the directions u_t with x_{t+1} = Project(x_t - alpha_t u_t)."""
+class _Stream:
+    """A gradient stream G (T, d) fixed in advance, with the scans that the
+    configs run on it share, each built at its first use and read-only: the
+    momentum per ``MomentumSchedule``, and the running average
+    v_t = a_t v_{t-1} + b_t |g_t|^p1 per (weight schedule, p1), before
+    amsgrad's running max and the bias divisor."""
+
+    def __init__(self, G: np.ndarray):
+        self.G = G
+        self.scans = {}
+
+    def momentum(self, mom: MomentumSchedule) -> np.ndarray:
+        return self._shared(mom, lambda: _momentum_stream(self.G, mom))
+
+    def average(self, weight: WeightSchedule, p1: int) -> np.ndarray:
+        rounds = np.arange(1, self.G.shape[0] + 1)
+        return self._shared((weight, p1), lambda: _scan(*_coefs(weight, rounds), abs_pow(self.G, p1)))
+
+    def _shared(self, key, build) -> np.ndarray:
+        if key not in self.scans:
+            scan = self.scans[key] = build()
+            scan.flags.writeable = False
+        return self.scans[key]
+
+
+def _directions(s: _Stream, cfg: OptimizerConfig):
+    """(V, U) for every round of the stream ``s``: the applied
+    preconditioners, read-only, and the directions u_t with
+    x_{t+1} = Project(x_t - alpha_t u_t), read-only where they are the
+    shared momentum (plain_sgd)."""
     stream = _RULES[cfg.engine][1]
-    V = stream(G, cfg) if stream else None
-    M = None if cfg.engine == "sign" else _momentum_stream(G, cfg.momentum)
+    V = stream(s, cfg) if stream else None
+    M = None if cfg.engine == "sign" else s.momentum(cfg.momentum)
     bias1 = None
     if cfg.bias_correction:
-        bias1 = schedules.per_round(_bias, cfg.momentum.beta1, G.shape[0])[:, None]
-    V, U = _tail(cfg, G, M, V, bias1)
+        bias1 = schedules.per_round(_bias, cfg.momentum.beta1, s.G.shape[0])[:, None]
+    V, U = _tail(cfg, s.G, M, V, bias1)
     V.flags.writeable = False
     return V, U
+
+
+def _config_run(x1: np.ndarray, V, U: np.ndarray, cfg: OptimizerConfig, fset: FeasibleSet):
+    """(path, V, alpha) of ``cfg`` from its group's (V, U): its step sizes,
+    its steps s_t = alpha_t u_t and one ``_descent`` per coordinate."""
+    T, d = U.shape
+    alphas = schedules.alpha(cfg.step, np.arange(1, T + 1))
+    steps = alphas[:, None] * U
+    path = np.empty((T + 1, d))
+    for j in range(d):
+        lo, hi = (float(fset.lo[j]), float(fset.hi[j])) if fset.is_box else (None, None)
+        path[:, j] = _descent(float(x1[j]), steps[:, j], lo, hi)
+    return path, V, alphas
+
+
+def _runs(x1: np.ndarray, G: np.ndarray, cfgs: tuple, fset: FeasibleSet):
+    check_gradient(G, 1)
+    s = _Stream(G)
+    for group in alpha_groups(cfgs):
+        V, U = _directions(s, cfgs[group.start])
+        if group.stop == len(cfgs):
+            s.scans.clear()  # no later group reads them
+        for c in cfgs[group]:
+            yield _config_run(x1, V, U, c, fset)
 
 
 def run_stream(x1, G: np.ndarray, cfg, fset: FeasibleSet):
@@ -421,41 +473,33 @@ def run_stream(x1, G: np.ndarray, cfg, fset: FeasibleSet):
     gradient stream fixed in advance.
 
     For oracles whose g_t does not depend on x_t.  m_t, v_t, V_t and the
-    directions m_t / V_t are built as arrays, once for each run of
-    consecutive configs that are equal apart from their step size
-    (``alpha_groups``); per config there remain only
-    alpha_t (``schedules.alpha`` on the array of rounds), the steps
-    s_t = alpha_t * m_t / V_t and the clipped running sum
-    x_{t+1} = clip(x_t - s_t, lo, hi), one ``_descent`` per coordinate.
+    directions m_t / V_t are built as arrays, and each is shared, read-only,
+    by every config that reads it: the momentum scan per
+    ``MomentumSchedule`` and the running-average scan per (weight schedule,
+    p1) (``_Stream``), and V_t and the directions per run of consecutive
+    configs that are equal apart from their step size (``alpha_groups``).
+    Per config there remain only alpha_t (``schedules.alpha`` on the array
+    of rounds), the steps s_t = alpha_t * m_t / V_t and the clipped running
+    sum x_{t+1} = clip(x_t - s_t, lo, hi), one ``_descent`` per coordinate.
     ``_scan`` and ``_descent`` keep the per-round operation order, so every
     value is bit-identical to T calls of ``step``.  Measured on a 2-core
-    x86-64 VM at d = 1 and T = 6000 (adam, wada and amsgrad, spike stream
-    in [-1, 1]), a group's build takes 0.9-1.0 ms and each config's scaling
-    and clip pass 0.15-0.22 ms: about 0.18 us per round for one config
-    alone and 0.03 us for each further config of its group, against 19-28
-    us per round for the per-round numpy step.  Every linear oracle here
-    has d = 1, so there is no dimension gate.
+    x86-64 VM at d = 1 and T = 6000 (spike stream in [-1, 1], medians of
+    300), adam alone takes 1.0 ms, and after it a further adam alpha 0.10
+    ms, amsgrad, whose scans are built, 0.16 ms, and wada, which needs its
+    own running average, 0.62 ms; the per-round numpy step takes 19-28 us
+    per round.  Every linear oracle here has d = 1, so there is no
+    dimension gate.
 
-    Returns (path, V, alpha), or a list of them in config order for a
-    tuple: path (T + 1, d) holds x_1, ..., x_{T+1}, V (T, d) the applied
-    preconditioners (epsilon included), read-only and shared by the configs
-    of a group, and alpha (T,) the step sizes.
+    Returns (path, V, alpha) for one config: path (T + 1, d) holds x_1,
+    ..., x_{T+1}, V (T, d) the applied preconditioners (epsilon included),
+    read-only and shared by the configs of a group, and alpha (T,) the step
+    sizes.  For a tuple it returns an iterator of them in config order, each
+    built when it is asked for, so a caller that drops each run before
+    asking for the next holds one config's arrays at a time.  The scans go
+    once the last group's directions are built, and the directions when the
+    caller closes the iterator.  The stream is checked for non-finite
+    gradients when the first run is asked for.
     """
     cfgs = cfg if isinstance(cfg, tuple) else (cfg,)
-    x1 = as_vector(x1)
-    G = np.asarray(G, dtype=np.float64)
-    check_gradient(G, 1)
-    T, d = G.shape
-    rounds = np.arange(1, T + 1)
-    runs = []
-    for group in alpha_groups(cfgs):
-        V, U = _directions(G, cfgs[group.start])
-        for c in cfgs[group]:
-            alphas = schedules.alpha(c.step, rounds)
-            steps = alphas[:, None] * U
-            path = np.empty((T + 1, d))
-            for j in range(d):
-                lo, hi = (float(fset.lo[j]), float(fset.hi[j])) if fset.is_box else (None, None)
-                path[:, j] = _descent(float(x1[j]), steps[:, j], lo, hi)
-            runs.append((path, V, alphas))
-    return runs if isinstance(cfg, tuple) else runs[0]
+    runs = _runs(as_vector(x1), np.asarray(G, dtype=np.float64), cfgs, fset)
+    return runs if isinstance(cfg, tuple) else next(runs)

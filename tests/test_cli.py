@@ -58,6 +58,31 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("[1, 2]", (), "config error: config must be a table, got [1, 2]"),
+        ('"abc"', (), "config error: config must be a table, got 'abc'"),
+        ("[]", (), "config error: config must be a table, got []"),
+        (
+            json.dumps({"problem": QUAD, "optimizers": "adam", "T": 40}),
+            ("--alpha", "0.1"),
+            "config error: config needs a non-empty optimizer list",
+        ),
+    ],
+    ids=["list", "string", "empty_list", "string_optimizers"],
+)
+def test_non_table_config_exits_one_without_traceback(tmp_path, text, flags, message):
+    # the first two used to escape _apply_flags as a bare TypeError and
+    # ValueError, the empty list read as a table missing 'problem', and
+    # --alpha over a string optimizer list read its characters as presets
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = run_module(str(path), *flags)
+    assert out.returncode == 1
+    assert out.stderr == message + "\n"
+
+
 def test_bad_schema_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, surprise=True)
     assert main(["run", "--config", cfg]) == 1
@@ -171,12 +196,12 @@ def test_bad_alpha_grid_is_a_config_error(tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
-def run_module(cfg):
-    """``python -m wagmf.cli run --config cfg`` in a child process."""
+def run_module(cfg, *flags):
+    """``python -m wagmf.cli run --config cfg [flags]`` in a child process."""
     src = str(Path(wagmf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "wagmf.cli", "run", "--config", cfg],
+        [sys.executable, "-m", "wagmf.cli", "run", "--config", cfg, *flags],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
