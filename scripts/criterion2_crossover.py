@@ -3,9 +3,9 @@
 Criterion 2 (``tests/test_acceptance.py``) runs the periodic online stream
 for 500k rounds, where wada's average regret is still above adam's. On that
 grid wada's R/T falls below adam's between T = 2.0M and 2.1M rounds. This
-script runs the same grid at T = 2.1M (or at ``--T``) and checks both halves
-of the criterion there: wada's final R/T is below adam's, and wada's
-checkpoints fall strictly.
+script runs the same grid at T = 2.1M (or at ``--T``, at least its last
+checkpoint, 100k) and checks both halves of the criterion there: wada's
+final R/T is below adam's, and wada's checkpoints fall strictly.
 
     PYTHONPATH=src python scripts/criterion2_crossover.py [--T 2100000]
 
@@ -21,11 +21,15 @@ import time
 
 from wagmf.runner import parse_config, run
 
+CHECKPOINTS = [10_000, 100_000]
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--T", type=int, default=2_100_000, help="rounds (default 2100000)")
     T = parser.parse_args(argv).T
+    if T < CHECKPOINTS[-1]:
+        parser.error(f"--T must be at least the last checkpoint, {CHECKPOINTS[-1]}")
     t0 = time.monotonic()
     summary = run(
         parse_config(
@@ -33,7 +37,7 @@ def main(argv=None) -> int:
                 "problem": {"kind": "reddi_online"},
                 "T": T,
                 "seeds": [0],
-                "checkpoints": [10_000, 100_000],
+                "checkpoints": CHECKPOINTS,
                 "optimizers": [
                     {"name": "adam", "alphas": [0.03, 0.1, 0.3, 1.0]},
                     {"name": "wada", "alphas": [0.003, 0.01, 0.03, 0.1]},
@@ -50,7 +54,7 @@ def main(argv=None) -> int:
         for name in ("adam", "wada")
     )
     adam_rt, wada_rt = adam["final_avg_regret"], wada["final_avg_regret"]
-    c1, c2 = wada["avg_regret_at"]["10000"], wada["avg_regret_at"]["100000"]
+    c1, c2 = (wada["avg_regret_at"][str(c)] for c in CHECKPOINTS)
     beats = wada_rt < adam_rt
     falls = c1 > c2 > wada_rt
     print(

@@ -28,7 +28,6 @@ from .problems import (
     SoftmaxObjective,
     gaussian_blobs,
     load_dataset,
-    softmax_objective,
 )
 from .runner import (
     ExperimentConfig,

@@ -242,34 +242,20 @@ def gaussian_blobs(n: int, d: int, k: int, seed: int, spread: float = 1.0,
     return Dataset(X, labels, k)
 
 
-def _read_idx_labels(path) -> np.ndarray:
+def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 array of a big-endian IDX file with ``magic`` and ``ndim``
+    sizes in its header."""
     raw = Path(path).read_bytes()
-    if len(raw) < 8:
+    head = 4 * (1 + ndim)
+    if len(raw) < head:
         raise ParseError(f"{path}: truncated IDX header")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise MagicMismatch(
-            f"{path}: magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}"
-        )
-    if len(raw) < 8 + n:
-        raise ParseError(f"{path}: expected {n} labels, file holds {len(raw) - 8}")
-    return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
-
-
-def _read_idx_images(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ParseError(f"{path}: truncated IDX header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise MagicMismatch(
-            f"{path}: magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
-        )
-    need = n * rows * cols
-    if len(raw) < 16 + need:
-        raise ParseError(f"{path}: expected {need} pixels, file holds {len(raw) - 16}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=16)
-    return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    found, *shape = struct.unpack(f">{1 + ndim}I", raw[:head])
+    if found != magic:
+        raise MagicMismatch(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+    need = math.prod(shape)
+    if len(raw) < head + need:
+        raise ParseError(f"{path}: expected {need} data bytes, file holds {len(raw) - head}")
+    return np.frombuffer(raw, dtype=np.uint8, count=need, offset=head).reshape(shape)
 
 
 def load_dataset(path: str, format: str = "csv") -> Dataset:
@@ -288,8 +274,10 @@ def load_dataset(path: str, format: str = "csv") -> Dataset:
             raise ParseError(
                 'idx format expects "images_file,labels_file", got ' + repr(path)
             )
-        X = _read_idx_images(parts[0])
-        y = _read_idx_labels(parts[1])
+        images = _read_idx(parts[0], _IDX_IMAGES_MAGIC, 3)
+        n, rows, cols = images.shape
+        X = images.reshape(n, rows * cols).astype(np.float64) / 255.0
+        y = _read_idx(parts[1], _IDX_LABELS_MAGIC, 1).astype(np.int64)
         if y.shape[0] != X.shape[0]:
             raise ParseError(
                 f"images hold {X.shape[0]} samples but labels hold {y.shape[0]}"
@@ -374,36 +362,6 @@ def _softmax_core(W, b, X, y, reg, grads):
         losses += reg * np.add.reduce((W * W).reshape(C, k * d), axis=1)
         dW += (2.0 * reg) * W
     return losses
-
-
-def softmax_objective(W: np.ndarray, b: np.ndarray, data: Dataset, reg: float):
-    """Full-batch softmax regression objective.
-
-    loss = mean cross-entropy + reg * sum_k ||w_k||^2 (biases unpenalized);
-    returns (loss, gradient) with the gradient flattened as [dW rows..., db].
-    """
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    K = data.num_classes
-    if W.shape != (K, data.d) or b.shape != (K,):
-        raise ShapeMismatch(
-            f"want W ({K}, {data.d}) and b ({K},), got {W.shape} and {b.shape}"
-        )
-    if not (np.isfinite(W).all() and np.isfinite(b).all()):
-        raise NonFiniteInput("parameters contain NaN or Inf")
-    grads = np.empty((1, K * (data.d + 1)))
-    losses = _softmax_core(W[None], b[None], data.features, data.labels, reg, grads)
-    return float(losses[0]), grads[0]
-
-
-def pack_params(W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(W).ravel(), np.asarray(b)])
-
-
-def unpack_params(x: np.ndarray, k: int, d: int):
-    if x.shape != (k * d + k,):
-        raise ShapeMismatch(f"flat parameters must have shape ({k * d + k},), got {x.shape}")
-    return x[: k * d].reshape(k, d), x[k * d :]
 
 
 class SoftmaxObjective(LossOracle):

@@ -98,10 +98,17 @@ def build_problem(cfg: dict) -> ProblemSetup:
         x0 = _vector("x0", cfg.get("x0", [0.0]))
     elif kind == "quadratic":
         if "a_diag" in cfg or "x_star" in cfg:
+            for key in ("a_diag", "x_star"):
+                if key not in cfg:
+                    raise ConfigError(f"bad quadratic problem: missing {key!r}")
+            for key in ("dim", "instance_seed"):
+                if key in cfg:
+                    raise ConfigError(
+                        f"bad quadratic problem: {key!r} cannot go with 'a_diag' and 'x_star'"
+                    )
             try:
-                a_diag, x_star = _vector("a_diag", cfg["a_diag"]), _vector("x_star", cfg["x_star"])
-                oracle = Quadratic(a_diag, x_star)
-            except (KeyError, WagmfError, ValueError) as e:
+                oracle = Quadratic(_vector("a_diag", cfg["a_diag"]), _vector("x_star", cfg["x_star"]))
+            except (WagmfError, ValueError) as e:
                 raise ConfigError(f"bad quadratic problem: {e}") from None
         else:
             dim = _integer("dim", cfg.get("dim", 5), least=1)
@@ -151,6 +158,8 @@ def _parse_feasible(cfg: dict, default: FeasibleSet) -> FeasibleSet:
 def _parse_dataset(spec) -> Dataset:
     _table("data", spec, ("blobs", "path", "format"))
     if "blobs" in spec:
+        if "path" in spec or "format" in spec:
+            raise ConfigError("dataset spec takes either 'blobs' or 'path' and 'format', not both")
         try:
             b = _table("blobs", spec["blobs"], ("n", "d", "k", "seed", "spread", "center_scale"))
             return gaussian_blobs(

@@ -22,9 +22,6 @@ from wagmf.problems import (
     SoftmaxObjective,
     gaussian_blobs,
     load_dataset,
-    pack_params,
-    softmax_objective,
-    unpack_params,
 )
 
 
@@ -213,18 +210,33 @@ def test_idx_roundtrip_and_errors(tmp_path):
     assert np.allclose(ds.features, images.reshape(6, -1) / 255.0)
     assert ds.features.max() <= 1.0
 
-    # wrong magic
-    with open(tmp_path / "badmagic.idx", "wb") as f:
-        f.write(struct.pack(">ii", 0x999, 6))
-        f.write(labels.tobytes())
-    with pytest.raises(MagicMismatch):
-        load_dataset(f"{ip},{tmp_path / 'badmagic.idx'}", "idx")
+    raw_images, raw_labels = ip.read_bytes(), lp.read_bytes()
 
-    # truncated payload
-    raw = open(ip, "rb").read()
-    (tmp_path / "short.idx").write_bytes(raw[:-4])
-    with pytest.raises(ParseError):
-        load_dataset(f"{tmp_path / 'short.idx'},{lp}", "idx")
+    def load_with(images=raw_images, labels=raw_labels):
+        (tmp_path / "i.idx").write_bytes(images)
+        (tmp_path / "l.idx").write_bytes(labels)
+        return load_dataset(f"{tmp_path / 'i.idx'},{tmp_path / 'l.idx'}", "idx")
+
+    def magic(m, raw):
+        return struct.pack(">I", m) + raw[4:]
+
+    # each file's wrong magic, short payload and truncated header
+    for files, error, message in (
+        ({"labels": magic(0x999, raw_labels)}, MagicMismatch, "0x00000999, expected 0x00000801"),
+        ({"images": magic(0x801, raw_images)}, MagicMismatch, "0x00000801, expected 0x00000803"),
+        ({"images": raw_images[:-4]}, ParseError, "expected 36 data bytes, file holds 32"),
+        ({"labels": raw_labels[:-1]}, ParseError, "expected 6 data bytes, file holds 5"),
+        ({"images": raw_images[:15]}, ParseError, "truncated IDX header"),
+        ({"labels": raw_labels[:7]}, ParseError, "truncated IDX header"),
+    ):
+        with pytest.raises(error, match=message):
+            load_with(**files)
+    assert np.array_equal(load_with().features, ds.features)
+    # a pair of zero images still has its row width
+    empty = load_with(struct.pack(">IIII", 0x803, 0, 3, 2), struct.pack(">II", 0x801, 0))
+    assert empty.features.shape == (0, 6) and empty.features.dtype == np.float64
+    assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
+    assert empty.num_classes == 1
 
     with pytest.raises(ParseError):
         load_dataset(str(ip), "idx")  # missing the comma-separated label path
@@ -235,17 +247,16 @@ def test_idx_roundtrip_and_errors(tmp_path):
 
 def test_softmax_loss_at_zero_is_log_k():
     for k in (2, 3, 7):
-        ds = gaussian_blobs(n=4 * k, d=3, k=k, seed=1)
-        loss, _ = softmax_objective(np.zeros((k, 3)), np.zeros(k), ds, reg=0.0)
+        obj = SoftmaxObjective(gaussian_blobs(n=4 * k, d=3, k=k, seed=1), reg=0.0)
+        loss, _ = obj.loss_and_grad(np.zeros(obj.dim))
         assert loss == pytest.approx(math.log(k), rel=1e-12)
 
 
 def test_softmax_bias_gradient_vanishes_for_balanced_classes_at_zero():
     ds = gaussian_blobs(n=40, d=4, k=2, seed=6)
-    _, g = softmax_objective(np.zeros((2, 4)), np.zeros(2), ds, reg=0.0)
-    _, b = unpack_params(g, 2, 4)
+    _, g = SoftmaxObjective(ds, reg=0.0).loss_and_grad(np.zeros(2 * 4 + 2))
     # P = 1/2 uniformly, so db_j = 1/2 - freq_j = 0 when classes are balanced
-    assert np.allclose(b, 0.0, atol=1e-15)
+    assert np.allclose(g[2 * 4 :], 0.0, atol=1e-15)
 
 
 def test_softmax_gradient_matches_finite_differences():
@@ -259,31 +270,20 @@ def test_softmax_gradient_matches_finite_differences():
 def test_regularizer_hits_weights_not_biases():
     ds = gaussian_blobs(n=20, d=3, k=2, seed=3)
     x = np.random.default_rng(8).standard_normal(2 * 3 + 2)
-    W, b = unpack_params(x, 2, 3)
-    l0, g0 = softmax_objective(W, b, ds, reg=0.0)
-    l1, g1 = softmax_objective(W, b, ds, reg=0.1)
+    W = x[:6].reshape(2, 3)  # the flat vector is [W rows..., b]
+    l0, g0 = SoftmaxObjective(ds, reg=0.0).loss_and_grad(x)
+    l1, g1 = SoftmaxObjective(ds, reg=0.1).loss_and_grad(x)
     assert l1 == pytest.approx(l0 + 0.1 * np.sum(W * W), rel=1e-12)
-    dW0, db0 = unpack_params(g0, 2, 3)
-    dW1, db1 = unpack_params(g1, 2, 3)
-    assert np.allclose(dW1 - dW0, 2 * 0.1 * W, rtol=1e-12)
-    assert np.array_equal(db0, db1)
+    assert np.allclose((g1 - g0)[:6].reshape(2, 3), 2 * 0.1 * W, rtol=1e-12)
+    assert np.array_equal(g0[6:], g1[6:])
 
 
 def test_softmax_is_stable_under_huge_logits():
     ds = gaussian_blobs(n=10, d=2, k=2, seed=0)
-    W = np.full((2, 2), 500.0)
-    W[1] *= -1
-    loss, g = softmax_objective(W, np.zeros(2), ds, reg=0.0)
+    x = np.zeros(2 * 2 + 2)
+    x[:2], x[2:4] = 500.0, -500.0  # W rows (500, 500) and (-500, -500), b = 0
+    loss, g = SoftmaxObjective(ds, reg=0.0).loss_and_grad(x)
     assert np.isfinite(loss) and np.all(np.isfinite(g))
-
-
-def test_pack_unpack_roundtrip():
-    W = np.arange(6.0).reshape(2, 3)
-    b = np.array([7.0, 8.0])
-    x = pack_params(W, b)
-    assert x.shape == (8,)
-    W2, b2 = unpack_params(x, 2, 3)
-    assert np.array_equal(W, W2) and np.array_equal(b, b2)
 
 
 # ---------------------------------------------------------------- minibatches

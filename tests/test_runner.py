@@ -172,6 +172,16 @@ def blobs(**kw):
             {"kind": "quadratic", "a_diag": [1.0], "x_star": [True]},
             "bad quadratic problem: x_star: True is not a finite number",
         ),
+        (
+            {"kind": "quadratic", "a_diag": [1, 2], "x_star": [0, 0], "dim": 5},
+            "bad quadratic problem: 'dim' cannot go with 'a_diag' and 'x_star'",
+        ),
+        (
+            {"kind": "quadratic", "a_diag": [1], "x_star": [0], "instance_seed": 3},
+            "bad quadratic problem: 'instance_seed' cannot go with 'a_diag' and 'x_star'",
+        ),
+        ({"kind": "quadratic", "a_diag": [1.0]}, "bad quadratic problem: missing 'x_star'"),
+        ({"kind": "quadratic", "x_star": [0.0], "dim": 1}, "bad quadratic problem: missing 'a_diag'"),
         ({**ONLINE, "name": 5}, "problem name must be a string, got 5"),
         ({"kind": ["softmax"]}, "unknown problem kind ['softmax']"),
         (
@@ -179,6 +189,14 @@ def blobs(**kw):
             "cannot load dataset: unknown dataset format 'parquet'",
         ),
         ({"kind": "softmax", "data": {"path": 5}}, "dataset path must be a string, got 5"),
+        (
+            {"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2}, "path": "x.csv"}},
+            "dataset spec takes either 'blobs' or 'path' and 'format', not both",
+        ),
+        (
+            {"kind": "softmax", "data": {"blobs": {"n": 20, "d": 2, "k": 2}, "format": "csv"}},
+            "dataset spec takes either 'blobs' or 'path' and 'format', not both",
+        ),
         ({"kind": "softmax", "data": {"blobs": 5}}, "bad blobs spec: blobs must be a table, got 5"),
         ({"kind": "quadratic", "dimm": 3}, "unknown quadratic problem keys: ['dimm']"),
         ({**SOFTMAX, "batchsize": 4}, "unknown softmax problem keys: ['batchsize']"),
