@@ -11,7 +11,7 @@ final R/T is below adam's, and wada's checkpoints fall strictly.
 
 It prints one line, ending with the grid's wall time and the peak RSS of
 its largest process, and exits 1 if a check fails. At 2.1M rounds it took
-4.7-4.9 s and 182 MB serially on a 2-core x86-64 VM.
+3.3-3.4 s and 182 MB serially on a 2-core x86-64 VM.
 """
 
 import argparse

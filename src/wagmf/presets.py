@@ -44,10 +44,10 @@ DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
 DEFAULT_EPSILON = 1e-7
 
-# engine -> step function.  Every engine runs ``steps.step``; run_rounds
-# looks the step up here, once per group of configs that differ only in
-# alpha, and calls it once per round for the whole group, so tools that time
-# or replace it per engine patch this one table.
+# engine -> step function.  Every engine runs ``steps.step``, which
+# ``runner._round_loop`` looks up here once per group of configs that differ
+# only in alpha; the table exists so that tools that time or replace the step
+# per engine, as the benchmark's tracer does, patch one place.
 STEP_FN = dict.fromkeys(ENGINES, steps.step)
 
 # name -> (engine, weight kind, p1, p2, default beta1)

@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -585,11 +585,14 @@ def _execute_job(
 ) -> list[dict]:
     """Run one (cells, seeds) job of the grid, cells as (optimizer, alpha),
     and return one result per (cell, seed), cells outer; used directly and
-    via the pool.  A failing run's error names its cell and seed.
+    via the pool.
 
-    Each cell's runs become its results before the next cell's runs are
-    asked for (``_cell_runs``), so on a linear oracle, whose array path
-    builds them then, the job holds one config's arrays at a time.
+    The job's (trace, x_after) pairs, configs outer, come from a linear
+    oracle's array path (``_array_path``), which builds each cell's pairs
+    when they are taken, or else from one ``run_rounds`` call.  Each cell's
+    pairs become its results before the next cell's are taken, so a linear
+    job holds one config's arrays at a time.  A failing run's error names its
+    cell and seed, found from the pair index the producer sets.
 
     Serial callers pass the problem they already built; pool workers build
     their own from ``config.problem``.
@@ -598,36 +601,22 @@ def _execute_job(
     if setup is None:
         setup = build_problem(config.problem)
     cfgs = tuple(presets_mod.make_preset(name, alpha, config.overrides) for name, alpha in cells)
-    blocks = _cell_runs(setup, cells, cfgs, seeds, config.T, _needs_dense(config, setup.oracle))
-    results = []
-    for cell, cfg in zip(cells, cfgs):
-        results += _cell_results(config, setup, cfg, cell, seeds, *next(blocks))
-    return results
-
-
-def _cell_runs(setup: ProblemSetup, cells: tuple, cfgs: tuple, seeds: tuple, T: int, dense: bool):
-    """Yield each cell's (runs, full losses) in turn: its seeds' (trace,
-    x_after) pairs and their full-data losses (None but on a minibatch
-    oracle).  A linear oracle's pairs are built when their cell is asked for
-    (``_array_path``); any other oracle's come from one ``run_rounds`` call.
-    A failing run's error names its cell and seed."""
     S = len(seeds)
+    results = []
     try:
         if setup.oracle.linear:
-            runs = zip(_array_path(setup, cfgs, T, seeds), repeat(None))
+            runs = _array_path(setup, cfgs, config.T, seeds)
         else:
-            pairs = run_rounds(setup, cfgs, T, seeds, dense=dense)
-            full_losses = [None] * len(pairs)
-            if isinstance(setup.oracle, MinibatchOracle):  # one call on the stack of x_after rows
-                full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in pairs])).tolist()
-            runs = zip(pairs, full_losses)
-        for _ in cells:
-            yield tuple(zip(*islice(runs, S)))
+            runs = iter(run_rounds(setup, cfgs, config.T, seeds, dense=_needs_dense(config, setup.oracle)))
+        for cell, cfg in zip(cells, cfgs):
+            results += _cell_results(config, setup, cfg, cell, seeds, tuple(islice(runs, S)))
     except WagmfError as e:
-        k = getattr(e, "pair", 0)
-        (name, alpha), seed = cells[k // S], seeds[k % S]
+        if not hasattr(e, "pair"):  # not a run's error
+            raise
+        (name, alpha), seed = cells[e.pair // S], seeds[e.pair % S]
         e.args = (f"{name} at alpha {alpha:g}, seed {seed}: {e}",)
         raise
+    return results
 
 
 def _needs_dense(config: ExperimentConfig, oracle: LossOracle) -> bool:
@@ -636,15 +625,19 @@ def _needs_dense(config: ExperimentConfig, oracle: LossOracle) -> bool:
     return bool(config.out) or config.bound_eval or oracle.known_optimum is not None
 
 
-def _cell_results(config, setup, cfg, cell, seeds, runs, full_losses):
+def _cell_results(config, setup, cfg, cell, seeds, runs):
     """Yield one (optimizer, alpha) cell's result per seed of its (trace,
     x_after) ``runs``, with trace files under ``config.out``.  The seeds share
-    alpha_t, so their bounds and the CSV text of t and alpha_t are built once."""
+    alpha_t, so their bounds and the CSV text of t and alpha_t are built once;
+    a minibatch oracle's full-data losses are one call on the stacked x_after."""
     name, alpha = cell
     traces = tuple(trace for trace, _ in runs)
     bounds = _evaluate_bounds(traces, setup, cfg) if config.bound_eval else None
     row_text = csv_row_text(traces[0]) if config.out else None
-    for k, (seed, trace, full_loss) in enumerate(zip(seeds, traces, full_losses)):
+    full_losses = None
+    if isinstance(setup.oracle, MinibatchOracle):
+        full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in runs])).tolist()
+    for k, (seed, trace) in enumerate(zip(seeds, traces)):
         x_T = trace.x_T if isinstance(trace, LeanTrace) else trace.x[-1]
         result = {
             "optimizer": name,
@@ -662,8 +655,8 @@ def _cell_results(config, setup, cfg, cell, seeds, runs, full_losses):
             if config.checkpoints:
                 result["avg_regret_at"] = {str(c): float(avg_series[c - 1]) for c in config.checkpoints}
             selection = result["final_avg_regret"]
-        elif full_loss is not None:
-            result["final_full_loss"] = float(full_loss)
+        elif full_losses is not None:
+            result["final_full_loss"] = full_losses[k]
             selection = result["final_full_loss"]
         else:
             selection = result["final_loss"]

@@ -490,3 +490,22 @@ def test_minibatch_run_is_identical_across_worker_counts(monkeypatch, tmp_path, 
     lean = run(parse_config(minibatch_raw()))["runs"]
     dense = run(parse_config(minibatch_raw(out=str(tmp_path / "dense"))))["runs"]
     assert lean == [{k: v for k, v in r.items() if not k.startswith("trace_")} for r in dense]
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_minibatch_full_loss_is_each_runs_own(monkeypatch, threads):
+    # each cell's full-data losses come from one call on its stacked x_after
+    # rows; every row must read its own run's one-row full_loss
+    if threads:
+        monkeypatch.setenv("WAGMF_THREADS", threads)
+    else:
+        monkeypatch.delenv("WAGMF_THREADS", raising=False)
+    config = parse_config(minibatch_raw())
+    setup = build_problem(config.problem)
+    runs = run(config)["runs"]
+    assert len(runs) == 6 * 2
+    for r in runs:
+        cfg = presets.make_preset(r["optimizer"], r["alpha"])
+        _, x_after = run_rounds(setup, cfg, config.T, r["seed"])
+        assert same_bits(r["final_full_loss"], setup.oracle.full_loss(x_after))
+        assert r["selection_metric"] == r["final_full_loss"]

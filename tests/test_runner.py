@@ -24,7 +24,7 @@ import wagmf
 from wagmf import runner
 from wagmf.analysis import RunTrace
 from wagmf.errors import ConfigError, InsufficientSeeds, NonFinitePreconditioner
-from wagmf.problems import Quadratic
+from wagmf.problems import MinibatchOracle, Quadratic
 from wagmf.runner import (
     ExperimentConfig,
     TRACE_HEADER,
@@ -41,7 +41,7 @@ from wagmf.runner import (
     write_trace_npy,
 )
 from wagmf.runner import _worker_count
-from wagmf import presets
+from wagmf import presets, steps
 
 
 QUAD = {"kind": "quadratic", "a_diag": [1.0, 2.0], "x_star": [0.25, -0.5], "x0": [0.0, 0.0]}
@@ -510,6 +510,67 @@ def test_cells_write_traces_through_the_module_functions(monkeypatch, tmp_path):
         + [("write_trace_npy", f"{s}.npy") for s in stems]
     )
     assert [Path(r["trace_csv"]).stem for r in results] == stems
+
+
+# the names perfbench/tracer.py wraps that a grid reaches: (config keys, its
+# oracle's class, the runner names only that grid reaches); every grid runs
+# each engine, so it reaches each STEP_FN entry
+EVERY_ENGINE = ["sgd", "sign_sgd", "adagrad", "adam", "amsgrad", "wada"]
+TRACED_GRIDS = {
+    "quadratic": (
+        {
+            "problem": {"kind": "quadratic", "dim": 3, "instance_seed": 1},
+            "overrides": {"lambda": 0.99},
+            "bound_eval": True,
+        },
+        Quadratic,
+        ("regret", "thm1_bound", "corollary1_bound", "write_trace_csv"),
+    ),
+    "minibatch": (
+        {"problem": {"kind": "softmax", "data": {"blobs": {"n": 30, "d": 3, "k": 3}}, "batch_size": 8}},
+        MinibatchOracle,
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(TRACED_GRIDS))
+def test_serial_run_reaches_every_traced_name(monkeypatch, tmp_path, grid):
+    # the tracer times a layer by wrapping its name; a job that stops calling
+    # one (say, run_rounds on a non-linear oracle) blanks that layer's metrics
+    # while every output stays right.  Evaluate, step and project count only
+    # inside run_rounds, whose span the tracer charges them to.
+    keys, oracle_cls, only_here = TRACED_GRIDS[grid]
+    monkeypatch.delenv("WAGMF_THREADS", raising=False)
+    calls, open_spans = {}, []
+
+    def count(real, label, in_rounds=False):
+        calls[label] = 0
+
+        def counted(*args, **kwargs):
+            calls[label] += not in_rounds or "runner.run_rounds" in open_spans
+            open_spans.append(label)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                open_spans.pop()
+
+        return counted
+
+    for name in ("run_rounds", "build_problem", *only_here):
+        monkeypatch.setattr(runner, name, count(getattr(runner, name), f"runner.{name}"))
+    monkeypatch.setattr(presets, "make_preset", count(presets.make_preset, "presets.make_preset"))
+    monkeypatch.setattr(steps, "project", count(steps.project, "steps.project", True))
+    for engine, step in list(presets.STEP_FN.items()):
+        monkeypatch.setitem(presets.STEP_FN, engine, count(step, f"presets.STEP_FN[{engine}]", True))
+    label = f"{oracle_cls.__name__}.evaluate"
+    monkeypatch.setattr(oracle_cls, "evaluate", count(oracle_cls.evaluate, label, True))
+
+    raw = keys | {"optimizers": EVERY_ENGINE, "T": 20, "seeds": [0, 1]}
+    if "write_trace_csv" in only_here:
+        raw["out"] = str(tmp_path)
+    run(parse_config(raw))
+    assert [label for label, n in calls.items() if n == 0] == []
 
 
 # ---------------------------------------------------------------------------
