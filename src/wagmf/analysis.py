@@ -20,7 +20,7 @@ from .errors import (
 from .numerics import abs_pow, root
 from .problems import LossOracle, RoundRng, linear_loss
 from .schedules import MomentumSchedule, WeightSchedule, beta1_at, gamma, per_round
-from .steps import _momentum_stream
+from .steps import _scan
 
 
 @dataclass
@@ -121,10 +121,10 @@ def thm1_bound(trace, d_inf: float, beta1: float, lam: float):
     term3 = sum_t alpha_t / (1-beta1) * ||m_t||^2_{V_t^{-1}}
 
     V is taken as recorded (epsilon included), V_0 = 0, and m_t is the step's
-    own ``_momentum_stream`` over the recorded gradients.  Requires a bounded
-    feasible set with sup-norm diameter ``d_inf``.
+    own running average (``_scan``) over the recorded gradients.  Requires a
+    bounded feasible set with sup-norm diameter ``d_inf``.
     Given a tuple of traces of one T, returns their reports, each equal bit
-    for bit to its own call's, from one beta1_t table and one momentum stream.
+    for bit to its own call's, from one beta1_t table and one momentum scan.
     """
     if not math.isfinite(d_inf):
         raise UnboundedSet("the bound needs a finite sup-norm diameter")
@@ -133,7 +133,7 @@ def thm1_bound(trace, d_inf: float, beta1: float, lam: float):
     d2 = d_inf * d_inf
     b1t = per_round(beta1_at, mom, traces[0].T)
     one_minus_b1t = 1.0 - b1t
-    M = _momentum_stream(tuple(tr.g for tr in traces), mom, b1t)
+    M = _scan(b1t, one_minus_b1t, np.hstack([tr.g for tr in traces]))
     M *= M
     v_prev_sums = np.zeros(b1t.size)  # sum_i V_{t-1,i}, with V_0 = 0
     reports = []

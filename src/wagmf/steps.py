@@ -147,19 +147,6 @@ def _average(acc: np.ndarray, a, b, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _momentum(state: OptimizerState, g: np.ndarray, mom: MomentumSchedule, t: int) -> np.ndarray:
-    b1t = schedules.beta1_at(mom, t)
-    return _average(state.m, b1t, 1.0 - b1t, g)
-
-
-def _direction(m_eff: np.ndarray, V: np.ndarray, eps: float) -> np.ndarray:
-    # with eps = 0 an untouched coordinate has V = 0, but then m = 0 too:
-    # leave it in place instead of producing 0/0
-    if eps:
-        return m_eff / V
-    return np.divide(m_eff, V, out=np.zeros_like(m_eff), where=V > 0.0)
-
-
 def _overflow(t: int):
     raise NonFinitePreconditioner(
         f"V_t is not finite at round {t}: the weighted sum of gradient powers "
@@ -245,12 +232,14 @@ def _tail(cfg: OptimizerConfig, g: np.ndarray, m, V, bias1):
         return np.abs(g), np.sign(g)
     if cfg.engine == "plain_sgd":
         return np.ones_like(g), m
-    eps = cfg.epsilon
-    if eps:
-        V += eps
     if bias1 is not None:
         m = m / bias1
-    return V, _direction(m, V, eps)
+    if cfg.epsilon:
+        V += cfg.epsilon
+        return V, m / V
+    # with epsilon = 0 an untouched coordinate has V = 0, but then m = 0 too:
+    # leave it in place instead of producing 0/0
+    return V, np.divide(m, V, out=np.zeros_like(m), where=V > 0.0)
 
 
 def step(
@@ -271,7 +260,8 @@ def step(
     if a_t is None:
         check_gradient(g, t)
         a_t = schedules.alpha(cfg.step, t)
-    m = None if cfg.engine == "sign" else _momentum(state, g, cfg.momentum, t)
+    b1t = schedules.beta1_at(cfg.momentum, t)
+    m = None if cfg.engine == "sign" else _average(state.m, b1t, 1.0 - b1t, g)
     rule = _RULES[cfg.engine][0]
     V = rule(state, g, cfg, t) if rule else None
     bias1 = _bias(cfg.momentum.beta1, t) if cfg.bias_correction else None
@@ -391,18 +381,6 @@ def _descent(x: float, steps: np.ndarray, lo: float | None, hi: float | None) ->
     return path
 
 
-def _momentum_stream(G, mom: MomentumSchedule, b1=None) -> np.ndarray:
-    """Array form of _momentum: m_t for every round of G (T, d), or of a tuple
-    of them stacked by columns, from m_0 = 0.  A caller holding the (T,) table
-    of beta1_t passes it as ``b1``; it is only read when lam < 1."""
-    M = np.hstack(G) if isinstance(G, tuple) else np.array(G, dtype=np.float64)
-    if mom.lam == 1.0:
-        b1 = mom.beta1
-    elif b1 is None:
-        b1 = schedules.per_round(schedules.beta1_at, mom, M.shape[0])
-    return _scan(b1, 1.0 - b1, M)
-
-
 class _Stream:
     """A gradient stream G (T, d) fixed in advance, with the scans that the
     configs run on it share, each built at its first use and read-only: the
@@ -415,11 +393,17 @@ class _Stream:
         self.scans = {}
 
     def momentum(self, mom: MomentumSchedule) -> np.ndarray:
-        return self._shared(mom, lambda: _momentum_stream(self.G, mom))
+        def build():
+            b1 = mom.beta1 if mom.lam == 1.0 else schedules.per_round(schedules.beta1_at, mom, len(self.G))
+            return _scan(b1, 1.0 - b1, self.G.copy())
+
+        return self._shared(mom, build)
 
     def average(self, weight: WeightSchedule, p1: int) -> np.ndarray:
-        rounds = np.arange(1, self.G.shape[0] + 1)
-        return self._shared((weight, p1), lambda: _scan(*_coefs(weight, rounds), abs_pow(self.G, p1)))
+        def build():
+            return _scan(*_coefs(weight, np.arange(1, len(self.G) + 1)), abs_pow(self.G, p1))
+
+        return self._shared((weight, p1), build)
 
     def _shared(self, key, build) -> np.ndarray:
         if key not in self.scans:

@@ -25,7 +25,7 @@ from wagmf.errors import (
 )
 from wagmf.feasible import FeasibleSet
 from wagmf.presets import make_preset
-from wagmf.steps import _momentum_stream, init_state, step
+from wagmf.steps import _Stream, init_state, step
 from wagmf.schedules import MomentumSchedule, beta1_at
 from wagmf.problems import (
     MinibatchOracle,
@@ -86,6 +86,12 @@ def test_trace_validation():
             alpha=np.ones(2),
             V=np.ones((2, 1)),
         )
+    empty = np.zeros((0, 1))
+    with pytest.raises(ValueError, match="at least one round"):
+        RunTrace(x=empty, g=empty, loss=np.zeros(0), alpha=np.ones(0), V=empty)
+    column = np.zeros((2, 1))
+    with pytest.raises(ValueError, match="loss must have shape"):
+        RunTrace(x=column, g=column, loss=column, alpha=np.ones(2), V=column)
 
 
 # ---------------------------------------------------------------- regret
@@ -153,7 +159,7 @@ def test_regret_shape_guard():
 def test_momentum_stream_matches_live_state():
     orc = ReddiOnline()
     tr = run_preset("adam", 0.3, orc, 250, seed=0)
-    m = _momentum_stream(tr.g, MomentumSchedule(0.9, 1.0))
+    m = _Stream(tr.g).momentum(MomentumSchedule(0.9, 1.0))
     # recompute independently
     mm, cur = [], np.zeros(1)
     for g in tr.g:
@@ -174,11 +180,11 @@ def test_momentum_stream_is_the_steps_momentum_bit_for_bit(d, lam):
         _, gs[t - 1] = orc.evaluate(t, st.x)
         step(st, gs[t - 1], cfg, fs)
         ms[t - 1] = st.m
-    assert np.array_equal(_momentum_stream(gs, cfg.momentum), ms)
+    assert np.array_equal(_Stream(gs).momentum(cfg.momentum), ms)
 
 
 def test_momentum_stream_with_decay():
-    m = _momentum_stream(np.ones((3, 1)), MomentumSchedule(0.9, 0.5))
+    m = _Stream(np.ones((3, 1))).momentum(MomentumSchedule(0.9, 0.5))
     # beta1_t = 0.9 * 0.5^(t-1): 0.9, 0.45, 0.225
     m1 = 0.1
     m2 = 0.45 * m1 + 0.55
@@ -360,6 +366,8 @@ def test_lemma3_domain_errors():
         lemma3_check(np.array([-0.1]), 2.0)
     with pytest.raises(ValueError):
         lemma3_check(np.array([1.0]), 0.5)  # M < 1
+    with pytest.raises(ValueError, match="non-empty 1-d array"):
+        lemma3_check([], 1.0)
 
 
 # ---------------------------------------------------------------- fd + t-test

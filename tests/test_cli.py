@@ -192,8 +192,9 @@ def test_alpha_flag_alone_rewrites_every_grid(tmp_path):
 
 def test_bad_alpha_grid_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["run", "--config", cfg, "--alpha", "0.1,zap"]) == 1
-    assert "--alpha" in capsys.readouterr().err
+    for grid, message in (("0.1,zap", "bad --alpha grid '0.1,zap'"), (" , ", "--alpha grid is empty")):
+        assert main(["run", "--config", cfg, "--alpha", grid]) == 1
+        assert message in capsys.readouterr().err
 
 
 def run_module(cfg, *flags):

@@ -24,6 +24,8 @@ def test_box_clamp():
 
 
 def test_box_validation():
+    with pytest.raises(ValueError, match="box needs both lo and hi"):
+        FeasibleSet(lo=np.zeros(1))
     with pytest.raises(ValueError):
         FeasibleSet.box([1.0], [0.0])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -58,6 +59,8 @@ def test_round_rng_children_are_stable_and_distinct():
 def test_round_rng_seeds_decorrelate():
     u = [RoundRng(s).uniforms(1)[0] for s in range(20)]
     assert len(set(u)) == 20
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RoundRng(-1)
 
 
 # ---------------------------------------------------------------- reddi streams
@@ -145,6 +148,10 @@ def test_dataset_validation():
         Dataset(X, np.array([0, 1, 2, 0]), 2)
     with pytest.raises(NonFiniteInput):
         Dataset(np.array([[np.nan, 0.0]]), np.array([0]), 1)
+    with pytest.raises(ShapeMismatch, match="features must be 2-d"):
+        Dataset(np.zeros((4, 2, 1)), np.zeros(4, dtype=np.int64), 2)
+    with pytest.raises(LabelOutOfRange, match="labels must be integers"):
+        Dataset(X, np.zeros(4), 2)
 
 
 def test_blobs_are_balanced_and_reproducible():
@@ -159,11 +166,13 @@ def test_blobs_are_balanced_and_reproducible():
     # classes actually separate: per-class means differ
     mus = [d1.features[d1.labels == c].mean(axis=0) for c in range(3)]
     assert np.linalg.norm(mus[0] - mus[1]) > 0.5
+    with pytest.raises(ValueError, match="need at least one point per class: n=2, k=3"):
+        gaussian_blobs(n=2, d=1, k=3, seed=0)
 
 
 def test_csv_roundtrip_and_errors(tmp_path):
     p = tmp_path / "toy.csv"
-    p.write_text("1.0,2.0,0\n-1.5,0.25,2\n0.0,0.0,1\n")
+    p.write_text("1.0,2.0,0\n\n-1.5,0.25,2\n0.0,0.0,1\n")  # the blank line is skipped
     ds = load_dataset(str(p), "csv")
     assert ds.n == 3 and ds.d == 2 and ds.num_classes == 3
     assert np.allclose(ds.features, [[1.0, 2.0], [-1.5, 0.25], [0.0, 0.0]])
@@ -184,6 +193,15 @@ def test_csv_roundtrip_and_errors(tmp_path):
     ragged.write_text("1.0,2.0,0\n1.0,1\n")
     with pytest.raises(ParseError):
         load_dataset(str(ragged), "csv")
+
+    for text, message in (
+        ("\n1.0\n", "toy.csv:2: need features plus a label column"),
+        ("1.0,2.0,0\n1.0,2.0,0.5\n", "toy.csv:2: label '0.5' is not an integer"),
+        ("\n  \n", "toy.csv: no data rows"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(str(p), "csv")
 
 
 def _write_idx_pair(tmp_path, images, labels):
@@ -228,6 +246,11 @@ def test_idx_roundtrip_and_errors(tmp_path):
         ({"labels": raw_labels[:-1]}, ParseError, "expected 6 data bytes, file holds 5"),
         ({"images": raw_images[:15]}, ParseError, "truncated IDX header"),
         ({"labels": raw_labels[:7]}, ParseError, "truncated IDX header"),
+        (
+            {"labels": struct.pack(">II", 0x801, 5) + raw_labels[8:13]},
+            ParseError,
+            "images hold 6 samples but labels hold 5",
+        ),
     ):
         with pytest.raises(error, match=message):
             load_with(**files)
@@ -250,6 +273,9 @@ def test_softmax_loss_at_zero_is_log_k():
         obj = SoftmaxObjective(gaussian_blobs(n=4 * k, d=3, k=k, seed=1), reg=0.0)
         loss, _ = obj.loss_and_grad(np.zeros(obj.dim))
         assert loss == pytest.approx(math.log(k), rel=1e-12)
+        for x in (np.zeros(obj.dim + 1), np.zeros((1, 1, obj.dim))):
+            with pytest.raises(ShapeMismatch, match=re.escape(f"points must have shape ({obj.dim},)")):
+                obj.loss_and_grad(x)
 
 
 def test_softmax_bias_gradient_vanishes_for_balanced_classes_at_zero():

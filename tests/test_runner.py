@@ -43,6 +43,8 @@ from wagmf.runner import (
 from wagmf.runner import _worker_count
 from wagmf import presets, steps
 
+from conftest import QUAD as BOXED_QUAD
+
 
 QUAD = {"kind": "quadratic", "a_diag": [1.0, 2.0], "x_star": [0.25, -0.5], "x0": [0.0, 0.0]}
 
@@ -660,6 +662,7 @@ def test_parse_config_rejects(mutation):
             },
             "optimizer 'wada' has alphas 0.5 and 0.5, which share the label '0.5'",
         ),
+        ({"checkpoints": 10}, "checkpoints must be a list"),
     ],
 )
 def test_parse_config_rejects_values_it_used_to_coerce(mutation, message):
@@ -872,6 +875,54 @@ def test_bound_eval_reports_terms_or_skips(tmp_path):
     assert set(wada_bounds["thm1"]) == {"term1", "term2", "term3", "total"}
     assert set(wada_bounds["corollary1"]) == {"term1", "term2", "term3", "total", "g_inf"}
     assert "skipped" in by_name["adam"]["bounds"]
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("wada", {}), ("wada_v3", {}), ("wada_v4", {}), ("wada", {"p1": 3}), ("wada", {"step_kind": "constant"})],
+)
+def test_corollary1_only_where_its_closed_form_was_derived(name, overrides):
+    # the closed form assumes p1 = 2, p2 = 4 and alpha_t = alpha / sqrt(t);
+    # every other config of the analyzed family keeps thm1 alone
+    cfg = parse_config(
+        minimal_raw(
+            optimizers=[{"name": name, "alphas": [0.5]}],
+            overrides={"lambda": 0.99, **overrides},
+            bound_eval=True,
+            T=40,
+        )
+    )
+    bounds = run(cfg)["runs"][0]["bounds"]
+    assert "thm1" in bounds
+    assert ("corollary1" in bounds) == (name == "wada" and not overrides)
+
+
+def test_regret_compares_with_the_best_feasible_point(tmp_path):
+    # BOXED_QUAD's x* lies outside the default box [-1, 1] in two coordinates;
+    # the diagonal quadratic's minimizer on the box is x* clipped to it
+    T = 2000
+    summary = run(
+        parse_config(
+            {
+                "problem": BOXED_QUAD,
+                "T": T,
+                "seeds": [0],
+                "checkpoints": [T // 2],
+                "optimizers": [{"name": n, "alphas": [0.1, 0.5]} for n in ("wada", "adam", "amsgrad")],
+                "out": str(tmp_path),
+            }
+        )
+    )
+    oracle = build_problem(BOXED_QUAD).oracle
+    f_best, _ = oracle.evaluate(1, np.clip(BOXED_QUAD["x_star"], -1.0, 1.0))
+    t = np.arange(1, T + 1)
+    for r in summary["runs"]:
+        loss = np.load(r["trace_npy"])["loss"]
+        avg = np.cumsum(loss - f_best) / t
+        assert r["final_avg_regret"] == avg[-1] and r["avg_regret_at"] == {str(T // 2): avg[T // 2 - 1]}
+        csv = np.loadtxt(r["trace_csv"], delimiter=",", skiprows=1)
+        assert np.array_equal(csv[:, 2], avg)
+        assert 0.0 <= avg[-1] < 0.1
 
 
 def test_output_directory_layout(tmp_path):

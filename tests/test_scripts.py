@@ -2,6 +2,7 @@
 short horizon so that an API change that breaks them fails here."""
 
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -28,3 +29,20 @@ def test_criterion2_crossover_runs_from_its_last_checkpoint_on(capsys):
         script.main(["--T", "99999"])
     assert exit_info.value.code == 2
     assert "--T must be at least the last checkpoint, 100000" in capsys.readouterr().err
+
+
+def test_output_digest_prints_one_line_per_run_and_agrees_across_worker_counts(capsys, monkeypatch):
+    monkeypatch.setenv("WAGMF_THREADS", "3")  # restored after each run
+    script = _load("output_digest")
+    assert script.main(["--T", "50", "--seeds", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[:4] for row in rows] == [
+        [name, "1", mode, threads]
+        for name in ("spike_grid", "softmax_minibatch", "bound_sweep")
+        for mode in ("out", "lean")
+        for threads in ("unset", "2")
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", row[4]) for row in rows)
+    digests = [row[4] for row in rows]
+    assert digests[::2] == digests[1::2] and len(set(digests)) == 6
+    assert os.environ["WAGMF_THREADS"] == "3"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -381,4 +382,11 @@ def test_config_validation():
             momentum=MomentumSchedule(),
             p2=0,
         )
+    for field, message in (
+        ({"engine": "adamw"}, "unknown engine 'adamw'"),
+        ({"p1": 2.0}, "p1 must be a positive integer, got 2.0"),
+        ({"epsilon": -1e-8}, "epsilon must be finite and >= 0, got -1e-08"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerConfig(WeightSchedule.equal(), StepSizeSchedule(1.0), MomentumSchedule(), **field)
 
