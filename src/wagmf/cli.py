@@ -7,7 +7,8 @@ The config file is a JSON tree (see the README for the schema); flags
 override the corresponding config entries.  Exit codes: 0 success, 1 config
 error, 2 runtime failure (a failing run, a pool worker that died, or memory
 running out).  The WAGMF_THREADS environment variable caps the
-worker pool used for independent runs.
+worker pool used for independent runs; a bad value is a config error, and
+a serial run never loads the pool's modules.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 
 from . import runner
 from .errors import ConfigError, WagmfError
@@ -104,6 +104,15 @@ def _apply_flags(raw: dict, args: argparse.Namespace) -> dict:
     return raw
 
 
+def _run_failures() -> tuple[type[BaseException], ...]:
+    """The errors that make a run exit 2.  A dead pool worker raises
+    BrokenExecutor, which exists only once a pool has loaded
+    concurrent.futures, so a serial run never imports it."""
+    errors = (WagmfError, OSError, ValueError, OverflowError, MemoryError)
+    futures = sys.modules.get("concurrent.futures")
+    return errors if futures is None else (*errors, futures.BrokenExecutor)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -118,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (WagmfError, OSError, ValueError, OverflowError, MemoryError, BrokenExecutor) as e:
+    except _run_failures() as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     best = summary.get("best", {})

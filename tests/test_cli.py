@@ -1,6 +1,7 @@
 """Command-line front-end tests: flag plumbing, exit codes, and printed
 output."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -130,7 +131,7 @@ def test_dead_pool_worker_exits_two(tmp_path, capsys, monkeypatch, error):
         def map(self, fn, jobs):
             raise error("a worker died")
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", DeadPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
     monkeypatch.setenv("WAGMF_THREADS", "2")
     cfg = write_config(
         tmp_path,
@@ -197,10 +198,12 @@ def test_bad_alpha_grid_is_a_config_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def run_module(cfg, *flags):
-    """``python -m wagmf.cli run --config cfg [flags]`` in a child process."""
+def run_module(cfg, *flags, **environ):
+    """``python -m wagmf.cli run --config cfg [flags]`` in a child process,
+    with ``environ`` added to its environment."""
     src = str(Path(wagmf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(environ)
     return subprocess.run(
         [sys.executable, "-m", "wagmf.cli", "run", "--config", cfg, *flags],
         env=env, capture_output=True, text=True, timeout=120,
@@ -213,6 +216,27 @@ def test_non_numeric_config_alpha_exits_one_without_traceback(tmp_path, alpha):
     assert out.returncode == 1
     assert out.stderr.startswith("config error: optimizer 'adagrad' has a non-numeric alpha")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "threads, message",
+    [
+        ("abc", "WAGMF_THREADS must be an integer, got 'abc'"),
+        ("0", "WAGMF_THREADS must be >= 1, got 0"),
+        ("-2", "WAGMF_THREADS must be >= 1, got -2"),
+    ],
+)
+def test_bad_worker_count_exits_one_before_the_run(tmp_path, capsys, monkeypatch, threads, message):
+    def run(config):
+        raise AssertionError("the run started with a bad WAGMF_THREADS")
+
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(runner, "run", run)
+    monkeypatch.setenv("WAGMF_THREADS", threads)
+    assert main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    out = run_module(cfg, WAGMF_THREADS=threads)
+    assert (out.returncode, out.stderr) == (1, f"config error: {message}\n")
 
 
 def test_mistyped_override_exits_one_without_traceback(tmp_path):

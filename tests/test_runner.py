@@ -2,6 +2,7 @@
 config validation, grid selection, significance, and determinism across
 worker counts."""
 
+import concurrent.futures
 import io
 import json
 import math
@@ -983,6 +984,22 @@ def test_worker_count_parsing(monkeypatch):
         _worker_count()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_bad_worker_count_is_a_config_error_at_parse_time(monkeypatch, threads):
+    monkeypatch.setenv("WAGMF_THREADS", threads)
+    with pytest.raises(ConfigError) as expected:
+        _worker_count()
+
+    def build_problem(spec):
+        raise AssertionError("the problem was built before WAGMF_THREADS was checked")
+
+    monkeypatch.setattr(runner, "build_problem", build_problem)
+    with pytest.raises(ConfigError) as got:
+        parse_config(minimal_raw())
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("WAGMF_THREADS must be")
+
+
 def test_pool_has_no_more_workers_than_jobs(monkeypatch):
     # the fork context starts every worker at the first submit, so a pool
     # wider than the grid would fork processes that never get a job
@@ -1001,7 +1018,7 @@ def test_pool_has_no_more_workers_than_jobs(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     raw = minimal_raw(optimizers=[{"name": "adagrad", "alphas": [0.1, 0.5]}], T=10)
     monkeypatch.delenv("WAGMF_THREADS", raising=False)
     serial = run(parse_config(raw))
@@ -1107,6 +1124,69 @@ def test_scipy_loads_only_for_significance():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["False", "True True"]
+
+
+_POOL_MODULES = ("concurrent.futures", "multiprocessing", "logging")
+
+
+def test_pool_modules_load_only_when_a_grid_pools(tmp_path):
+    # a serial run, through the API or the CLI, never imports the pool's
+    # modules; a pooled one loads them at parse_config and writes the same
+    # summary.json bytes as the serial run
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "problem": {"kind": "quadratic", "dim": 2},
+                "T": 20,
+                "seeds": [0, 1],
+                "optimizers": [{"name": "adagrad", "alphas": [0.5]}, "sgd"],
+            }
+        )
+    )
+    script = (
+        "import json, resource, sys\n"
+        "from pathlib import Path\n"
+        "from wagmf.cli import main\n"
+        "from wagmf.runner import parse_config, run\n"
+        "pool = %r\n"
+        "config, how, out = sys.argv[1:]\n"
+        "raw = dict(json.loads(Path(config).read_text()), out=out)\n"
+        "if how == 'api':\n"
+        "    cfg = parse_config(raw)\n"
+        "    set_up = [m for m in pool if m in sys.modules]\n"
+        "    run(cfg)\n"
+        "else:\n"
+        "    set_up = None\n"
+        "    assert main(['run', '--config', config, '--out', out]) == 0\n"
+        "children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0\n"
+        "print(json.dumps([set_up, [m for m in pool if m in sys.modules], children]))\n"
+    ) % (_POOL_MODULES,)
+    src = str(Path(wagmf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def child(how, threads):
+        env.pop("WAGMF_THREADS", None)
+        if threads:
+            env["WAGMF_THREADS"] = threads
+        out = tmp_path / f"{how}-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config), how, str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = (out / "summary.json").read_text().replace(str(out), "OUT")
+        return json.loads(proc.stdout.splitlines()[-1]), summary
+
+    summaries = set()
+    for how, threads in (("api", None), ("api", "1"), ("cli", None)):
+        report, summary = child(how, threads)
+        assert report == [[] if how == "api" else None, [], False], (how, threads)
+        summaries.add(summary)
+    report, summary = child("api", "2")
+    assert report == [list(_POOL_MODULES), list(_POOL_MODULES), True]
+    summaries.add(summary)
+    assert len(summaries) == 1
 
 
 def test_repeat_runs_write_identical_summaries(tmp_path):
