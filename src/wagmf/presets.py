@@ -32,10 +32,10 @@ on with the ``bias_correction`` override.
 
 from __future__ import annotations
 
-import numbers
 import re
 
-from .errors import InvalidOverride, UnknownPreset
+from .errors import ConfigError, InvalidOverride, UnknownPreset
+from .numerics import integer, real, string, switch, table
 from .schedules import MomentumSchedule, StepSizeSchedule, WeightSchedule
 from .steps import ENGINES, OptimizerConfig
 from . import steps
@@ -66,23 +66,18 @@ _TABLE = {
     "nostalgic": ("wagmf_sum", "hyper_harmonic", 2, 2, DEFAULT_BETA1),
 }
 
-_NUMBER = (numbers.Real, "a number")
-_INTEGER = (numbers.Integral, "an integer")
-_NAME = (str, "a string")
-_SWITCH = (bool, "true or false")
-
-# override key -> (type its value must have, that type in words)
+# override key -> the config check its value goes through
 _OVERRIDE_KEYS = {
-    "beta1": _NUMBER,
-    "lambda": _NUMBER,
-    "beta2": _NUMBER,
-    "eta": _NUMBER,
-    "epsilon": _NUMBER,
-    "p1": _INTEGER,
-    "p2": _INTEGER,
-    "step_kind": _NAME,
-    "engine": _NAME,
-    "bias_correction": _SWITCH,
+    "beta1": real,
+    "lambda": real,
+    "beta2": real,
+    "eta": real,
+    "epsilon": real,
+    "p1": integer,
+    "p2": integer,
+    "step_kind": string,
+    "engine": string,
+    "bias_correction": switch,
 }
 
 _NOSTALGIC_RE = re.compile(r"nostalgic\((\S+)\)")
@@ -98,18 +93,14 @@ def make_preset(name: str, alpha: float, overrides: dict | None = None) -> Optim
 
     ``overrides`` may adjust beta1, lambda (momentum decay), beta2, eta,
     epsilon, p1, p2, step_kind, engine, bias_correction; any other key, a
-    value of the wrong type, or a value the schedules reject raises
+    value its config check rejects, or a value the schedules reject raises
     InvalidOverride.
     """
-    o = dict(overrides or {})
-    unknown = set(o) - _OVERRIDE_KEYS.keys()
-    if unknown:
-        raise InvalidOverride(f"unknown override keys: {sorted(unknown)}")
-    for key, value in o.items():
-        kind, words = _OVERRIDE_KEYS[key]
-        # bool is an int subclass: true must not pass as the number 1
-        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-            raise InvalidOverride(f"override {key!r} must be {words}, got {value!r}")
+    try:
+        checked = table("override", overrides or {}, _OVERRIDE_KEYS)
+        o = {key: _OVERRIDE_KEYS[key](f"override {key!r}", v) for key, v in checked.items()}
+    except ConfigError as e:
+        raise InvalidOverride(str(e)) from None
 
     base = name
     inline_eta = None

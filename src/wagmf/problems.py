@@ -35,6 +35,12 @@ _IDX_LABELS_MAGIC = 0x00000801
 _FULL_LOSS_LOGITS = 1 << 20
 
 
+def _philox(*key: int) -> np.random.Generator:
+    """The generator keyed by (seed, purpose, ...); purposes: 0 uniforms,
+    1 child, 2 blobs, 3 a run's random x0, 4 a random quadratic instance."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(k) for k in key])))
+
+
 class RoundRng:
     """Counter-based random source.
 
@@ -58,15 +64,12 @@ class RoundRng:
         """The stream's first T values as one (shared, read-only) array."""
         if T > self._uniforms.size:
             n = 1 << (T - 1).bit_length()  # the next power of two >= T
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([self.seed, 0])))
-            self._uniforms = gen.random(n)
+            self._uniforms = _philox(self.seed, 0).random(n)
             self._uniforms.flags.writeable = False
         return self._uniforms[:T]
 
     def child(self, k: int) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([self.seed, 1, int(k)]))
-        )
+        return _philox(self.seed, 1, k)
 
     def permutation(self, k: int, n: int) -> np.ndarray:
         if (k, n) != self._perm_key:
@@ -207,11 +210,13 @@ class Dataset:
             raise ShapeMismatch(f"features must be 2-d, got shape {X.shape}")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ShapeMismatch(f"labels shape {y.shape} does not match {X.shape[0]} rows")
+        if not y.size:
+            raise ShapeMismatch("a dataset needs at least one sample")
         if not np.isfinite(X).all():
             raise NonFiniteInput("features contain NaN or Inf")
-        if y.size and (not np.issubdtype(y.dtype, np.integer)):
+        if not np.issubdtype(y.dtype, np.integer):
             raise LabelOutOfRange("labels must be integers")
-        if y.size and (y.min() < 0 or y.max() >= self.num_classes):
+        if y.min() < 0 or y.max() >= self.num_classes:
             raise LabelOutOfRange(
                 f"labels must lie in [0, {self.num_classes}), got range "
                 f"[{y.min()}, {y.max()}]"
@@ -235,7 +240,7 @@ def gaussian_blobs(n: int, d: int, k: int, seed: int, spread: float = 1.0,
     shuffled)."""
     if n < k:
         raise ValueError(f"need at least one point per class: n={n}, k={k}")
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 2])))
+    gen = _philox(seed, 2)
     centers = center_scale * gen.standard_normal((k, d))
     labels = gen.permutation(np.arange(n) % k)
     X = centers[labels] + spread * gen.standard_normal((n, d))
@@ -282,7 +287,9 @@ def load_dataset(path: str, format: str = "csv") -> Dataset:
             raise ParseError(
                 f"images hold {X.shape[0]} samples but labels hold {y.shape[0]}"
             )
-        return Dataset(X, y, int(y.max()) + 1 if y.size else 1)
+        if not y.size:
+            raise ParseError(f"{path}: no samples")
+        return Dataset(X, y, int(y.max()) + 1)
     raise ValueError(f"unknown dataset format {format!r}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -24,6 +23,7 @@ from . import schedules
 from .analysis import RunTrace, corollary1_bound, regret, students_t_test, thm1_bound
 from .errors import ConfigError, InsufficientSeeds, UnknownPreset, InvalidOverride, WagmfError
 from .feasible import FeasibleSet, diameter_inf
+from .numerics import integer, real, string, switch, table
 from .problems import (
     Dataset,
     LossOracle,
@@ -33,6 +33,7 @@ from .problems import (
     ReddiStochastic,
     RoundRng,
     SoftmaxObjective,
+    _philox,
     gaussian_blobs,
     linear_loss,
     load_dataset,
@@ -83,10 +84,8 @@ def build_problem(cfg: dict) -> ProblemSetup:
     kind = cfg["kind"]
     if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}; known: {sorted(_PROBLEM_KEYS)}")
-    _table(f"{kind} problem", cfg, _PROBLEM_KEYS[kind])
-    name = cfg.get("name", kind)
-    if not isinstance(name, str):
-        raise ConfigError(f"problem name must be a string, got {name!r}")
+    table(f"{kind} problem", cfg, _PROBLEM_KEYS[kind])
+    name = string("problem name", cfg.get("name", kind))
     # the name starts each trace file's name, which must stay inside ``out``
     if any(c in name for c in ("/", os.sep, "\0")):
         raise ConfigError(f"problem name must not contain a path separator or NUL, got {name!r}")
@@ -110,9 +109,9 @@ def build_problem(cfg: dict) -> ProblemSetup:
             except (WagmfError, ValueError) as e:
                 raise ConfigError(f"bad quadratic problem: {e}") from None
         else:
-            dim = _integer("dim", cfg.get("dim", 5), least=1)
-            inst = _integer("instance_seed", cfg.get("instance_seed", 0), least=0)
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([inst, 4])))
+            dim = integer("dim", cfg.get("dim", 5), least=1)
+            inst = integer("instance_seed", cfg.get("instance_seed", 0), least=0)
+            gen = _philox(inst, 4)
             a = 0.5 + 1.5 * gen.random(dim)
             x_star = -0.5 + gen.random(dim)
             oracle = Quadratic(a, x_star)
@@ -124,9 +123,9 @@ def build_problem(cfg: dict) -> ProblemSetup:
     else:  # softmax
         data = _parse_dataset(cfg.get("data"))
         try:
-            oracle = SoftmaxObjective(data, _real("reg", cfg.get("reg", 0.0)))
+            oracle = SoftmaxObjective(data, real("reg", cfg.get("reg", 0.0)))
             if "batch_size" in cfg:
-                oracle = MinibatchOracle(oracle, _integer("batch_size", cfg["batch_size"]))
+                oracle = MinibatchOracle(oracle, integer("batch_size", cfg["batch_size"]))
         except ValueError as e:
             raise ConfigError(f"bad softmax problem: {e}") from None
         fset = _parse_feasible(cfg, default=FeasibleSet.unconstrained())
@@ -148,34 +147,33 @@ def _parse_feasible(cfg: dict, default: FeasibleSet) -> FeasibleSet:
     if spec == "unconstrained":
         return FeasibleSet.unconstrained()
     try:
-        _table("feasible", spec, ("lo", "hi"))
+        table("feasible", spec, ("lo", "hi"))
         return FeasibleSet.box(_vector("lo", spec["lo"]), _vector("hi", spec["hi"]))
     except (KeyError, WagmfError, ValueError) as e:
         raise ConfigError(f"bad feasible set: {e}") from None
 
 
 def _parse_dataset(spec) -> Dataset:
-    _table("data", spec, ("blobs", "path", "format"))
+    table("data", spec, ("blobs", "path", "format"))
     if "blobs" in spec:
         if "path" in spec or "format" in spec:
             raise ConfigError("dataset spec takes either 'blobs' or 'path' and 'format', not both")
         try:
-            b = _table("blobs", spec["blobs"], ("n", "d", "k", "seed", "spread", "center_scale"))
+            b = table("blobs", spec["blobs"], ("n", "d", "k", "seed", "spread", "center_scale"))
             return gaussian_blobs(
-                _integer("n", b["n"], least=1),
-                _integer("d", b["d"], least=1),
-                _integer("k", b["k"], least=1),
-                _integer("seed", b.get("seed", 0), least=0),
-                spread=_real("spread", b.get("spread", 1.0)),
-                center_scale=_real("center_scale", b.get("center_scale", 1.0)),
+                integer("n", b["n"], least=1),
+                integer("d", b["d"], least=1),
+                integer("k", b["k"], least=1),
+                integer("seed", b.get("seed", 0), least=0),
+                spread=real("spread", b.get("spread", 1.0)),
+                center_scale=real("center_scale", b.get("center_scale", 1.0)),
             )
         except (KeyError, ValueError, WagmfError) as e:
             raise ConfigError(f"bad blobs spec: {e}") from None
     if "path" in spec:
-        if not isinstance(spec["path"], str):
-            raise ConfigError(f"dataset path must be a string, got {spec['path']!r}")
+        path = string("dataset path", spec["path"])
         try:
-            return load_dataset(spec["path"], spec.get("format", "csv"))
+            return load_dataset(path, spec.get("format", "csv"))
         except (OSError, ValueError, WagmfError) as e:
             raise ConfigError(f"cannot load dataset: {e}") from None
     raise ConfigError("dataset spec needs either 'blobs' or 'path'")
@@ -184,7 +182,7 @@ def _parse_dataset(spec) -> Dataset:
 def initial_point(setup: ProblemSetup, seed: int) -> np.ndarray:
     if setup.x0 is not None:
         return np.array(setup.x0, copy=True)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 3])))
+    gen = _philox(seed, 3)
     lo, hi = setup.feasible.lo, setup.feasible.hi
     return lo + gen.random(lo.shape[0]) * (hi - lo)
 
@@ -423,12 +421,12 @@ class ExperimentConfig:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config tree; every problem is reported as ConfigError."""
-    _table("config", raw, [f.name for f in fields(ExperimentConfig)])
+    table("config", raw, [f.name for f in fields(ExperimentConfig)])
     for key in ("problem", "optimizers", "T"):
         if key not in raw:
             raise ConfigError(f"config is missing {key!r}")
 
-    T = _integer("T", raw["T"], least=1)
+    T = integer("T", raw["T"], least=1)
 
     opts = raw["optimizers"]
     if not isinstance(opts, list) or not opts:
@@ -440,19 +438,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             entry = {"name": entry}
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ConfigError(f"bad optimizer entry {entry!r}: needs a string 'name'")
-        _table(f"optimizer {entry['name']!r}", entry, ("name", "alphas"))
+        table(f"optimizer {entry['name']!r}", entry, ("name", "alphas"))
         alphas = entry.get("alphas", [0.1])
         if not isinstance(alphas, list) or not alphas:
             raise ConfigError(f"optimizer {entry['name']!r} needs a non-empty alpha grid")
-        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool) for a in alphas):
-            raise ConfigError(
-                f"optimizer {entry['name']!r} has a non-numeric alpha in {alphas!r}"
-            )
-        alphas = [float(a) for a in alphas]
-        if not all(0.0 < a < math.inf for a in alphas):
-            raise ConfigError(
-                f"optimizer {entry['name']!r} has a non-positive or non-finite alpha"
-            )
+        alphas = [real(f"optimizer {entry['name']!r} alpha", a) for a in alphas]
+        if min(alphas) <= 0.0:
+            raise ConfigError(f"optimizer {entry['name']!r} has a non-positive alpha")
         # a cell's trace files and its best.grid key are named by f"{alpha:g}"
         for a in alphas:
             key = (entry["name"], f"{a:g}")
@@ -467,7 +459,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
-    seeds = [_integer("seeds", s) for s in seeds]
+    seeds = [integer("seeds", s) for s in seeds]
     if any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct and >= 0")
 
@@ -478,13 +470,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     checkpoints = raw.get("checkpoints", [])
     if not isinstance(checkpoints, list):
         raise ConfigError("checkpoints must be a list")
-    checkpoints = sorted(_integer("checkpoints", c) for c in checkpoints)
+    checkpoints = sorted(integer("checkpoints", c) for c in checkpoints)
     if any(c < 1 or c > T for c in checkpoints):
         raise ConfigError("checkpoints must lie in [1, T]")
 
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out must be a string, got {out!r}")
+    out = None if raw.get("out") is None else string("out", raw["out"])
 
     cfg = ExperimentConfig(
         problem=raw["problem"],
@@ -492,8 +482,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         T=T,
         seeds=seeds,
         out=out,
-        bound_eval=_switch(raw, "bound_eval"),
-        significance=_switch(raw, "significance"),
+        bound_eval=switch("bound_eval", raw.get("bound_eval", False)),
+        significance=switch("significance", raw.get("significance", False)),
         overrides=overrides,
         checkpoints=checkpoints,
     )
@@ -505,52 +495,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _integer(key: str, value, least: int | None = None) -> int:
-    """``value`` as an int of at least ``least``.  Integral floats (JSON
-    ``1e5``) pass; bools, fractions, non-numbers and values below ``least``
-    are a ConfigError naming ``key``, where ``int()`` would truncate or
-    coerce them."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{key}: {value!r} is not an integer")
-    if least is not None and value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
-    return int(value)
-
-
-def _real(key: str, value) -> float:
-    """``value`` as a float; bools, strings, NaN and infinities are a
-    ConfigError naming ``key``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise ConfigError(f"{key}: {value!r} is not a finite number")
-
-
 def _vector(key: str, value) -> np.ndarray:
     """``value`` as a float64 vector; anything but a non-empty list of finite
     numbers is a ConfigError naming ``key``."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a non-empty list of finite numbers, got {value!r}")
-    return np.array([_real(key, v) for v in value])
-
-
-def _table(where: str, value, allowed) -> dict:
-    """``value`` as a table; a non-table or a key outside ``allowed`` is a
-    ConfigError naming ``where``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a table, got {value!r}")
-    unknown = set(value) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return value
-
-
-def _switch(raw: dict, key: str) -> bool:
-    value = raw.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+    return np.array([real(key, v) for v in value])
 
 
 def validate_config(cfg: ExperimentConfig, setup: ProblemSetup | None = None) -> ProblemSetup:
@@ -723,22 +673,22 @@ def _jobs(config: ExperimentConfig, oracle: LossOracle, workers: int) -> list[tu
 
     A job's per-round trace arrays hold T values per row and round, or T*d
     when a result reads the dense trace (``_needs_dense``), and stay within
-    ``_BLOCK_ELEMENTS``.  When every seed of a cell fits and a pool has no
-    more ``workers`` than cells, jobs are chunks of the grid's cells run
-    with every seed; on a linear oracle such a chunk shares each seed's
-    drawn stream and its scans across optimizer entries, and holds one
-    config's arrays at a time (``_execute_job``).  Otherwise each job is one
-    cell with a chunk of its seeds.  Chunks are contiguous and the fewest
-    that fit, or more where the pool would otherwise get fewer jobs than
-    workers.  A run's results do not depend on its job.
+    ``_BLOCK_ELEMENTS``.  A job is a chunk of cells, as many as fit with
+    every seed and at least one, with a chunk of seeds that fits.  So when
+    every seed fits and a pool has no more ``workers`` than cells, a job
+    runs its cells with every seed (on a linear oracle it shares each
+    seed's drawn stream and scans across optimizer entries, holding one
+    config's arrays at a time: ``_execute_job``); otherwise it is one cell.
+    Chunks are contiguous and the fewest that fit, or more where the pool
+    would otherwise get fewer jobs than workers.  A run's results do not
+    depend on its job.
     """
     cells = [(entry["name"], a) for entry in config.optimizers for a in entry["alphas"]]
     seeds = tuple(config.seeds)
     width = oracle.dim if _needs_dense(config, oracle) else 1
     rows = max(1, _BLOCK_ELEMENTS // (config.T * width))
-    if rows >= len(seeds) and workers <= len(cells):
-        return [(chunk, seeds) for chunk in _chunks(cells, rows // len(seeds), workers, 1)]
-    return [((cell,), chunk) for cell in cells for chunk in _chunks(seeds, rows, workers, len(cells))]
+    cc = _chunks(cells, max(1, rows // len(seeds)), workers, 1)
+    return [(c, s) for c in cc for s in _chunks(seeds, rows, workers, len(cc))]
 
 
 def _chunks(items, size: int, workers: int, jobs_per_chunk: int) -> list[tuple]:

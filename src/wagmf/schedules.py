@@ -86,8 +86,8 @@ class WeightSchedule:
             if self.beta2 is None or not 0.0 < self.beta2 < 1.0:
                 raise ValueError(f"exponential weights need beta2 in (0, 1), got {self.beta2}")
         if self.kind == "hyper_harmonic":
-            if self.eta is None or self.eta < 0.0:
-                raise ValueError(f"hyper_harmonic weights need eta >= 0, got {self.eta}")
+            if self.eta is None or not 0.0 <= self.eta < math.inf:
+                raise ValueError(f"hyper_harmonic weights need a finite eta >= 0, got {self.eta}")
 
     @classmethod
     def equal(cls) -> "WeightSchedule":

@@ -4,6 +4,7 @@ output."""
 import concurrent.futures
 import json
 import os
+import struct
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -214,7 +215,7 @@ def run_module(cfg, *flags, **environ):
 def test_non_numeric_config_alpha_exits_one_without_traceback(tmp_path, alpha):
     out = run_module(write_config(tmp_path, optimizers=[{"name": "adagrad", "alphas": [alpha]}]))
     assert out.returncode == 1
-    assert out.stderr.startswith("config error: optimizer 'adagrad' has a non-numeric alpha")
+    assert out.stderr.startswith(f"config error: optimizer 'adagrad' alpha: {alpha!r} is not a finite number")
     assert "Traceback" not in out.stderr
 
 
@@ -244,8 +245,22 @@ def test_mistyped_override_exits_one_without_traceback(tmp_path):
     out = run_module(write_config(tmp_path, overrides={"epsilon": "1e-8"}))
     assert out.returncode == 1
     assert out.stderr.startswith(
-        "config error: optimizer 'adagrad': override 'epsilon' must be a number"
+        "config error: optimizer 'adagrad': override 'epsilon': '1e-8' is not a finite number"
     )
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("batch", [{"batch_size": 4}, {}])
+def test_empty_idx_dataset_exits_one_without_traceback(tmp_path, batch):
+    # it used to load with n = 0: a minibatch oracle then divided by zero,
+    # and a full-batch run exited 0 with a NaN metric
+    images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 0, 2, 2))
+    labels.write_bytes(struct.pack(">II", 0x801, 0))
+    problem = {"kind": "softmax", "data": {"path": f"{images},{labels}", "format": "idx"}, **batch}
+    out = run_module(write_config(tmp_path, problem=problem))
+    assert out.returncode == 1
+    assert out.stderr.startswith("config error: cannot load dataset: ") and "no samples" in out.stderr
     assert "Traceback" not in out.stderr
 
 

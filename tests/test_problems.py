@@ -152,6 +152,8 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2, 1)), np.zeros(4, dtype=np.int64), 2)
     with pytest.raises(LabelOutOfRange, match="labels must be integers"):
         Dataset(X, np.zeros(4), 2)
+    with pytest.raises(ShapeMismatch, match="at least one sample"):
+        Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 1)
 
 
 def test_blobs_are_balanced_and_reproducible():
@@ -255,11 +257,9 @@ def test_idx_roundtrip_and_errors(tmp_path):
         with pytest.raises(error, match=message):
             load_with(**files)
     assert np.array_equal(load_with().features, ds.features)
-    # a pair of zero images still has its row width
-    empty = load_with(struct.pack(">IIII", 0x803, 0, 3, 2), struct.pack(">II", 0x801, 0))
-    assert empty.features.shape == (0, 6) and empty.features.dtype == np.float64
-    assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
-    assert empty.num_classes == 1
+    # a pair of zero images is no dataset
+    with pytest.raises(ParseError, match="no samples"):
+        load_with(struct.pack(">IIII", 0x803, 0, 3, 2), struct.pack(">II", 0x801, 0))
 
     with pytest.raises(ParseError):
         load_dataset(str(ip), "idx")  # missing the comma-separated label path

@@ -24,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 import wagmf
 from wagmf import runner
 from wagmf.analysis import RunTrace
-from wagmf.errors import ConfigError, InsufficientSeeds, NonFinitePreconditioner
+from wagmf.errors import ConfigError, InsufficientSeeds, InvalidOverride, NonFinitePreconditioner
 from wagmf.problems import MinibatchOracle, Quadratic
 from wagmf.runner import (
     ExperimentConfig,
@@ -42,7 +42,7 @@ from wagmf.runner import (
     write_trace_npy,
 )
 from wagmf.runner import _worker_count
-from wagmf import presets, steps
+from wagmf import numerics, presets, steps
 
 from conftest import QUAD as BOXED_QUAD
 
@@ -632,13 +632,16 @@ def test_parse_config_rejects(mutation):
         ({"T": True}, "T: True is not an integer"),
         ({"seeds": [1.9]}, "seeds: 1.9 is not an integer"),
         ({"checkpoints": [1.5]}, "checkpoints: 1.5 is not an integer"),
-        ({"optimizers": [{"name": "adagrad", "alphas": [True]}]}, "non-numeric alpha"),
+        (
+            {"optimizers": [{"name": "adagrad", "alphas": [True]}]},
+            "optimizer 'adagrad' alpha: True is not a finite number",
+        ),
         ({"bound_eval": "false"}, "bound_eval must be true or false"),
         ({"significance": "false", "seeds": [0, 1]}, "significance must be true or false"),
-        ({"overrides": {"epsilon": "x"}}, "override 'epsilon' must be a number"),
-        ({"overrides": {"beta1": "0.5"}}, "override 'beta1' must be a number"),
-        ({"overrides": {"lambda": True}}, "override 'lambda' must be a number"),
-        ({"overrides": {"p1": True}}, "override 'p1' must be an integer"),
+        ({"overrides": {"epsilon": "x"}}, "override 'epsilon': 'x' is not a finite number"),
+        ({"overrides": {"beta1": "0.5"}}, "override 'beta1': '0.5' is not a finite number"),
+        ({"overrides": {"lambda": True}}, "override 'lambda': True is not a finite number"),
+        ({"overrides": {"p1": True}}, "override 'p1': True is not an integer"),
         ({"overrides": {"bias_correction": "false"}}, "override 'bias_correction' must be true"),
         ({"out": 5}, "out must be a string, got 5"),
         ({"optimizers": [{"name": 5}]}, "bad optimizer entry {'name': 5}: needs a string 'name'"),
@@ -664,11 +667,15 @@ def test_parse_config_rejects(mutation):
             "optimizer 'wada' has alphas 0.5 and 0.5, which share the label '0.5'",
         ),
         ({"checkpoints": 10}, "checkpoints must be a list"),
+        (
+            {"optimizers": [{"name": "adagrad", "alphas": [10**400]}]},
+            "optimizer 'adagrad' alpha: 1000000000",
+        ),
     ],
 )
 def test_parse_config_rejects_values_it_used_to_coerce(mutation, message):
     # each of these was truncated, coerced, silently ignored, or escaped as a
-    # bare TypeError
+    # bare TypeError or OverflowError
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(minimal_raw(**mutation))
 
@@ -745,7 +752,38 @@ def test_exponential_weight_overflow_edge_names_the_weight():
 @pytest.mark.parametrize("alpha", ["x", None])
 def test_non_numeric_alpha_names_its_optimizer(alpha):
     raw = minimal_raw(optimizers=[{"name": "adagrad", "alphas": [0.1, alpha]}])
-    with pytest.raises(ConfigError, match="optimizer 'adagrad' has a non-numeric alpha"):
+    message = f"optimizer 'adagrad' alpha: {alpha!r} is not a finite number"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(raw)
+
+
+def test_numeric_overrides_must_be_finite_numbers():
+    # a NaN eta used to parse and then fail at run time as a V_t overflow
+    numeric = [k for k, check in presets._OVERRIDE_KEYS.items() if check in (numerics.real, numerics.integer)]
+    assert numeric == ["beta1", "lambda", "beta2", "eta", "epsilon", "p1", "p2"]
+    for key in numeric:
+        for value in (math.nan, math.inf, -math.inf, True, "1"):
+            with pytest.raises(InvalidOverride, match=re.escape(f"override {key!r}: {value!r} is not")):
+                presets.make_preset("nostalgic", 0.1, {key: value})
+            raw = minimal_raw(optimizers=[{"name": "nostalgic"}], overrides={key: value})
+            with pytest.raises(ConfigError, match=re.escape(f"optimizer 'nostalgic': override {key!r}")):
+                parse_config(raw)
+
+
+def test_integral_float_p1_is_the_integer():
+    overrides = {"p1": 2.0, "p2": 4.0}
+    assert presets.make_preset("wada", 0.1, overrides) == presets.make_preset("wada", 0.1, {"p1": 2, "p2": 4})
+    assert type(presets.make_preset("wada", 0.1, overrides).p1) is int
+    raw = minimal_raw(optimizers=[{"name": "wada", "alphas": [0.5]}])
+    assert run(parse_config({**raw, "overrides": overrides})) == run(
+        parse_config({**raw, "overrides": {"p1": 2, "p2": 4}})
+    )
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_inline_nostalgic_exponent_must_be_finite(eta):
+    raw = minimal_raw(optimizers=[{"name": f"nostalgic({eta})"}])
+    with pytest.raises(ConfigError, match=f"need a finite eta >= 0, got {eta}"):
         parse_config(raw)
 
 
