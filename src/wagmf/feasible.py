@@ -29,8 +29,9 @@ class FeasibleSet:
             hi = np.asarray(self.hi, dtype=np.float64)
             if lo.ndim != 1 or lo.shape != hi.shape:
                 raise DimMismatch(f"box bounds shapes differ: {lo.shape} vs {hi.shape}")
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-                raise ValueError("box bounds must be finite")
+            with np.errstate(over="ignore"):  # hi - lo is D_inf and scales a random x0
+                if not np.isfinite(hi - lo).all():
+                    raise ValueError("box bounds and their width hi - lo must be finite")
             if (lo > hi).any():
                 raise ValueError("box needs lo <= hi elementwise")
             object.__setattr__(self, "lo", lo)
@@ -48,10 +49,10 @@ class FeasibleSet:
     def is_box(self) -> bool:
         return self.lo is not None
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         if not self.is_box:
             return True
-        return bool((x >= self.lo - atol).all() and (x <= self.hi + atol).all())
+        return bool((x >= self.lo).all() and (x <= self.hi).all())
 
 
 def project(fset: FeasibleSet, v_diag: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:

@@ -119,10 +119,14 @@ def linear_loss(g: np.ndarray, x: np.ndarray):
 
 
 class _SpikeStream(LossOracle):
-    """Linear losses on [-1, 1]: slope 1010 on the rounds where the
-    subclass's ``spikes(t, last, rng)`` holds, else -10; x* = -1.  The rule
-    takes a round t, or an array of rounds with ``last`` the largest, and
-    returns a bool of t's shape, so ``evaluate`` and ``gradients`` share it.
+    """Linear losses: slope 1010 on the rounds where the subclass's
+    ``spikes(t, last, rng)`` holds, else -10.  The rule takes a round t, or
+    an array of rounds with ``last`` the largest, and returns a bool of t's
+    shape, so ``evaluate`` and ``gradients`` share it.
+
+    The slopes sum positive, so the loss falls with x: x* = -1 on the
+    default box [-1, 1], the runner's regret compares with any box's lower
+    bound, and an unconstrained run has no comparator.
     """
 
     dim = 1

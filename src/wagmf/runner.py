@@ -22,7 +22,7 @@ from . import presets as presets_mod
 from . import schedules
 from .analysis import RunTrace, corollary1_bound, regret, students_t_test, thm1_bound
 from .errors import ConfigError, InsufficientSeeds, UnknownPreset, InvalidOverride, WagmfError
-from .feasible import FeasibleSet, diameter_inf
+from .feasible import FeasibleSet, diameter_inf, project
 from .numerics import integer, real, string, switch, table
 from .problems import (
     Dataset,
@@ -56,10 +56,16 @@ _WRITE_ROWS = 128
 
 @dataclass
 class ProblemSetup:
+    """``x_best`` is the point every regret compares with, the best fixed
+    point of the feasible set: a spike stream's box's lower bound, or a
+    quadratic's x* clipped to its box.  It is None, and cells select on the
+    final (full-batch) loss, on softmax and on an unconstrained spike stream."""
+
     name: str
     oracle: LossOracle
     feasible: FeasibleSet
     x0: np.ndarray | None  # None: draw uniformly from the box per run seed
+    x_best: np.ndarray | None
 
 
 _COMMON_KEYS = ("kind", "name", "feasible", "x0")
@@ -94,6 +100,9 @@ def build_problem(cfg: dict) -> ProblemSetup:
         oracle = ReddiStochastic() if kind == "reddi_stochastic" else ReddiOnline()
         fset = _parse_feasible(cfg, default=FeasibleSet.box([-1.0], [1.0]))
         x0 = _vector("x0", cfg.get("x0", [0.0]))
+        # the online stream's every prefix sums to a positive slope and the
+        # stochastic one's mean slope is +0.2: the loss falls toward lo
+        optimum = fset.lo
     elif kind == "quadratic":
         if "a_diag" in cfg or "x_star" in cfg:
             for key in ("a_diag", "x_star"):
@@ -120,6 +129,7 @@ def build_problem(cfg: dict) -> ProblemSetup:
             cfg, default=FeasibleSet.box(np.full(d, -1.0), np.full(d, 1.0))
         )
         x0 = _vector("x0", cfg["x0"]) if "x0" in cfg else None
+        optimum = oracle.known_optimum
     else:  # softmax
         data = _parse_dataset(cfg.get("data"))
         try:
@@ -130,6 +140,7 @@ def build_problem(cfg: dict) -> ProblemSetup:
             raise ConfigError(f"bad softmax problem: {e}") from None
         fset = _parse_feasible(cfg, default=FeasibleSet.unconstrained())
         x0 = _vector("x0", cfg["x0"]) if "x0" in cfg else np.zeros(oracle.dim)
+        optimum = None
 
     if x0 is not None and x0.shape != (oracle.dim,):
         raise ConfigError(f"x0 has shape {x0.shape}, problem dimension is {oracle.dim}")
@@ -137,7 +148,14 @@ def build_problem(cfg: dict) -> ProblemSetup:
         raise ConfigError(f"box has shape {fset.lo.shape}, problem dimension is {oracle.dim}")
     if x0 is None and not fset.is_box:
         raise ConfigError("per-seed random x0 needs a bounded feasible box")
-    return ProblemSetup(name=name, oracle=oracle, feasible=fset, x0=x0)
+    # the bounds (thm1's D_inf) assume every iterate, x_1 too, lies in the set
+    if x0 is not None and not fset.contains(x0):
+        i = int(np.flatnonzero((x0 < fset.lo) | (x0 > fset.hi))[0])
+        x, lo, hi = x0[i].item(), fset.lo[i].item(), fset.hi[i].item()
+        raise ConfigError(f"x0[{i}] = {x} lies outside the feasible box: lo[{i}] = {lo}, hi[{i}] = {hi}")
+    # a separable loss's minimizer over a box is its unconstrained one projected
+    x_best = None if optimum is None else project(fset, np.ones(oracle.dim), optimum)
+    return ProblemSetup(name=name, oracle=oracle, feasible=fset, x0=x0, x_best=x_best)
 
 
 def _parse_feasible(cfg: dict, default: FeasibleSet) -> FeasibleSet:
@@ -519,9 +537,9 @@ def validate_config(cfg: ExperimentConfig, setup: ProblemSetup | None = None) ->
         raise ConfigError("bound_eval needs a bounded feasible set")
     if cfg.significance and len(cfg.seeds) < 2:
         raise ConfigError("significance testing needs at least two seeds")
-    if cfg.checkpoints and setup.oracle.known_optimum is None:
-        # checkpoints record the average regret, which needs the optimum
-        raise ConfigError("checkpoints need a problem with a known optimum")
+    if cfg.checkpoints and setup.x_best is None:
+        # checkpoints record the average regret, which needs a comparator
+        raise ConfigError("checkpoints need a problem with a known optimum on its feasible set")
     return setup
 
 
@@ -587,11 +605,6 @@ def _cell_results(config, setup, cfg, cell, seeds, runs):
     traces = tuple(trace for trace, _ in runs)
     bounds = _evaluate_bounds(traces, setup, cfg) if config.bound_eval else None
     row_text = csv_row_text(traces[0]) if config.out else None
-    # regret compares with the best feasible point; the oracles with a known
-    # optimum are separable, so that is the optimum clipped to the box
-    x_best = setup.oracle.known_optimum
-    if x_best is not None and setup.feasible.is_box:
-        x_best = np.clip(x_best, setup.feasible.lo, setup.feasible.hi)
     full_losses = None
     if isinstance(setup.oracle, MinibatchOracle):
         full_losses = setup.oracle.full_loss(np.stack([x_after for _, x_after in runs])).tolist()
@@ -607,8 +620,8 @@ def _cell_results(config, setup, cfg, cell, seeds, runs):
         if x_T.size <= _SIDECAR_MAX_DIM:
             result["final_x"] = x_T.tolist()
         avg_series = None
-        if x_best is not None:
-            avg_series = regret(trace, setup.oracle, x_best).average
+        if setup.x_best is not None:
+            avg_series = regret(trace, setup.oracle, setup.x_best).average
             result["final_avg_regret"] = float(avg_series[-1])
             if config.checkpoints:
                 result["avg_regret_at"] = {str(c): float(avg_series[c - 1]) for c in config.checkpoints}

@@ -291,12 +291,25 @@ def test_empty_idx_dataset_exits_one_without_traceback(tmp_path, batch):
             "config error: problem name must not contain a path separator or NUL, "
             "got 'a\\x00b'",
         ),
+        (
+            {"problem": {"kind": "reddi_online", "x0": [5.0]}, "bound_eval": True},
+            "config error: x0[0] = 5.0 lies outside the feasible box: lo[0] = -1.0, hi[0] = 1.0\n",
+        ),
+        (
+            {"problem": {"kind": "quadratic", "dim": 2, "feasible": {"lo": [-1e308] * 2, "hi": [1e308] * 2}}},
+            "config error: bad feasible set: box bounds and their width hi - lo must be finite",
+        ),
     ],
-    ids=["batch_size", "out", "problem_name", "name_parent", "name_slash", "name_nul"],
+    ids=[
+        "batch_size", "out", "problem_name", "name_parent", "name_slash", "name_nul",
+        "x0_outside_box", "box_width_overflows",
+    ],
 )
 def test_bad_problem_or_out_exits_one_without_traceback(tmp_path, entry, message):
     # each used to escape as a bare ValueError, TypeError, AttributeError or
-    # FileNotFoundError, or, for '../escaped', to write traces outside out
+    # FileNotFoundError, or, for '../escaped', to write traces outside out;
+    # x0 = 5 used to run with x_1 outside the box the bounds assume, and the
+    # wide box to draw x0 = inf and fail at round 1 with exit 2
     out = run_module(write_config(tmp_path, **entry))
     assert out.returncode == 1
     assert out.stderr.startswith(message)

@@ -30,6 +30,9 @@ def test_box_validation():
         FeasibleSet.box([1.0], [0.0])
     with pytest.raises(ValueError):
         FeasibleSet.box([0.0], [np.inf])
+    # finite bounds whose width overflows: D_inf and a drawn x0 would be inf
+    with pytest.raises(ValueError, match="box bounds and their width hi - lo must be finite"):
+        FeasibleSet.box([-1e308, 0.0], [1e308, 1.0])
     with pytest.raises(DimMismatch):
         FeasibleSet.box([0.0, 1.0], [2.0])
     with pytest.raises(DimMismatch):

@@ -964,6 +964,67 @@ def test_regret_compares_with_the_best_feasible_point(tmp_path):
         assert 0.0 <= avg[-1] < 0.1
 
 
+def test_spike_stream_regret_compares_with_the_box_lower_bound():
+    # every prefix of the online stream sums to a positive slope, so on
+    # [-2, 2] the best fixed point is -2, not the default box's -1 (against
+    # which R/T reads 0.4726877740205975)
+    summary = run(
+        parse_config(
+            {
+                "problem": {"kind": "reddi_online", "feasible": {"lo": [-2.0], "hi": [2.0]}},
+                "optimizers": [{"name": "adagrad", "alphas": [0.5]}],
+                "T": 20_000,
+            }
+        )
+    )
+    assert summary["runs"][0]["final_avg_regret"] == 0.6216877740205936
+
+
+@pytest.mark.parametrize("kind", ["reddi_online", "reddi_stochastic"])
+def test_spike_stream_comparator_on_a_box_left_of_zero(kind):
+    problem = {"kind": kind, "feasible": {"lo": [-3.0], "hi": [-2.0]}, "x0": [-2.5]}
+    setup = build_problem(problem)
+    assert np.array_equal(setup.x_best, [-3.0])
+    raw = {"problem": problem, "optimizers": ["wada"], "T": 300, "seeds": [4], "checkpoints": [300]}
+    (result,) = run(parse_config(raw))["runs"]
+    trace = run_rounds(setup, presets.make_preset("wada", 0.1), 300, 4)[0]
+    avg = np.cumsum(trace.loss - trace.g[:, 0] * -3.0)[-1] / 300
+    assert result["final_avg_regret"] == avg == result["avg_regret_at"]["300"]
+
+
+def test_unconstrained_spike_stream_has_no_comparator():
+    # a linear loss has no minimizer off a box: cells select on the final
+    # loss, as on softmax, and checkpoints are a config error
+    problem = {"kind": "reddi_online", "feasible": "unconstrained"}
+    assert build_problem(problem).x_best is None
+    (result,) = run(parse_config({"problem": problem, "optimizers": ["adagrad"], "T": 50}))["runs"]
+    assert "final_avg_regret" not in result
+    assert result["selection_metric"] == result["final_loss"]
+    with pytest.raises(ConfigError, match="checkpoints need a problem with a known optimum"):
+        parse_config({"problem": problem, "optimizers": ["adagrad"], "T": 50, "checkpoints": [10]})
+
+
+def test_problem_setup_holds_the_clipped_optimum():
+    assert np.array_equal(build_problem({"kind": "reddi_stochastic"}).x_best, [-1.0])
+    assert np.array_equal(build_problem(BOXED_QUAD).x_best, np.clip(BOXED_QUAD["x_star"], -1.0, 1.0))
+    free = build_problem(BOXED_QUAD | {"feasible": "unconstrained", "x0": [0.0] * 3})
+    assert np.array_equal(free.x_best, BOXED_QUAD["x_star"])
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"kind": "reddi_online", "x0": [5.0]},
+        {"kind": "reddi_stochastic", "feasible": {"lo": [-3.0], "hi": [-2.0]}},  # the default x0 0
+        {**QUAD, "x0": [0.0, -1.5]},
+    ],
+)
+def test_x0_outside_the_box_is_a_config_error(problem):
+    # thm1's D_inf assumes every iterate lies in the box, x_1 too
+    with pytest.raises(ConfigError, match=r"x0\[\d\] = -?\d\.\d lies outside the feasible box: lo\[\d\] = "):
+        parse_config(minimal_raw(problem=problem, bound_eval=True))
+
+
 def test_output_directory_layout(tmp_path):
     out = tmp_path / "results"
     cfg = parse_config(minimal_raw(out=str(out), seeds=[0, 1]))

@@ -69,9 +69,11 @@ def quadratics(draw):
         "x_star": draw(coords),
     }
     if draw(st.booleans()):
-        problem["x0"] = draw(coords)
         if draw(st.booleans()):
             problem["feasible"] = "unconstrained"
+            problem["x0"] = draw(coords)
+        else:  # an x0 must lie in the default box [-1, 1]
+            problem["x0"] = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
     return problem
 
 
